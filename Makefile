@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-concurrency test test-short race bench bench-record bench-smoke chaos resume-check cache-check load-check fleet-check peer-check bench-load tables artifacts examples clean
+.PHONY: all build vet lint lint-concurrency test test-short race bench bench-smoke chaos resume-check cache-check load-check fleet-check peer-check tables artifacts examples clean
 
 all: build vet lint test
 
@@ -42,20 +42,13 @@ race: vet
 	$(GO) test -race ./...
 
 # Benchmark packages: the training-kernel hot paths (ml, mat), the
-# stats kernels, plus the root study/CV/cache benchmarks.
+# stats kernels, plus the root study/CV/cache benchmarks. The repo's
+# end-to-end and per-layer benchmark is perfbench/run.sh (see
+# BENCHMARK.json); the BENCH_PR*.json files are historical records.
 BENCH_PKGS = ./internal/ml ./internal/mat ./internal/stats .
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem $(BENCH_PKGS)
-
-# Record the benchmark trajectory: run every kernel benchmark and write
-# ns/op, B/op and allocs/op per kernel to BENCH_PR4.json (cold/warm
-# cache pairs and the gather-dedup counts included). Pass
-# BASELINE=<old.json> to also record per-kernel speedups against a
-# previous recording.
-bench-record:
-	$(GO) run ./cmd/bench-record -out BENCH_PR4.json $(if $(BASELINE),-baseline $(BASELINE)) \
-		-pkgs './internal/ml,./internal/mat,./internal/stats,.'
 
 # One-iteration smoke run so benchmarks cannot rot; CI runs this.
 bench-smoke:
@@ -88,17 +81,16 @@ cache-check:
 # failed jobs, duplicates served from the shared cache without
 # recomputation (the warm replay must add zero cache misses), a clean
 # SIGTERM drain, and the hot-path allocation budgets (zero-alloc warm
-# lookup, batched gather plan). With RACE=0 the warm replay must
-# also hold 80% of BENCH_PR6.json's warm req/s. CI runs this.
+# lookup, batched gather plan). CI runs this.
 load-check:
 	bash scripts/load_check.sh
 
 # Fleet resilience gate: one baseline daemon records a results digest
 # for a 200-job skewed trace; three race-instrumented replicas sharing
 # one cache directory then replay the same trace while one replica is
-# SIGKILLed mid-trace and restarted — the digest must match byte for
-# byte with zero duplicate stores and nonzero cross-process lease
-# merges; finally a small replica (-max-jobs 4 -max-queue 2) under 16
+# SIGKILLed once it has accepted work, mid-trace, and restarted — the
+# digest must match byte for byte with zero duplicate stores, nonzero
+# cross-process lease merges and nonzero retries; finally a small replica (-max-jobs 4 -max-queue 2) under 16
 # players must shed with 429s while holding the accepted-request p99
 # within 2x an uncontended run. CI runs this.
 fleet-check:
@@ -109,19 +101,14 @@ fleet-check:
 # replicas with SEPARATE cache directories, wired with -peers, then
 # replay the same trace — one replica rebooted over the warm directory,
 # the other two cold and reachable only over the peer wire — while one
-# cold replica is SIGKILLed mid-trace. The digest must match byte for
-# byte with nonzero peer hits and zero cache misses on the warm
-# replica. CI runs this.
+# cold replica is SIGKILLed mid-trace once it has accepted work. The
+# digest must match byte for byte with nonzero peer hits, nonzero
+# retries and zero cache misses on the warm replica. Then two more
+# fleets replay the trace cold, and the peer-wired fleet over the warm
+# directory must hold at least 2x the req/s of the fleet without peer
+# wiring. CI runs this.
 peer-check:
 	bash scripts/peer_check.sh
-
-# Record the peer-protocol benchmark: the peer-check legs plus three
-# bench fleets (no-peer cold, peer-warm, shared-dir) with daemons built
-# without -race so recorded throughput is real, written to
-# BENCH_PR9.json. The peer-warm fleet must hold at least 2x the
-# no-peer fleet's req/s.
-bench-load:
-	OUT=BENCH_PR9.json RACE=0 bash scripts/peer_check.sh 200 8
 
 # Regenerate every paper table (plus premise, sensor and survey tables).
 tables:

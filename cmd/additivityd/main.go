@@ -9,7 +9,7 @@
 //	additivityd [-addr host:port] [-cache-dir dir] [-cache-max-bytes N]
 //	            [-max-jobs N] [-max-queue N] [-job-timeout dur]
 //	            [-drain-timeout dur] [-pprof-addr host:port]
-//	            [-peers url,url,...] [-peer-timeout dur] [-peer-hedge dur]
+//	            [-peers url,url,...]
 //
 // Endpoints:
 //
@@ -34,9 +34,8 @@
 // fan-out, first valid response wins, per-peer circuit breakers)
 // before measuring, and writes fetched entries through to its own
 // store — so replicas without a shared cache directory still share
-// measurement work. -peer-timeout bounds each per-peer attempt and
-// -peer-hedge sets the slow-peer budget before a backup request
-// launches (negative disables hedging).
+// measurement work. Each per-peer attempt is bounded at 2s, and a
+// backup request launches after 25ms against a slow first peer.
 //
 // Overload control: pooled submissions beyond -max-queue are shed with
 // 429 "overloaded" and a Retry-After (the warm fast path is never
@@ -92,8 +91,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight jobs on shutdown before aborting them")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate listener (empty: profiling off)")
 	peers := flag.String("peers", "", "comma-separated sibling replica base URLs to fetch cache entries from before measuring (empty: peer tier off)")
-	peerTimeout := flag.Duration("peer-timeout", peer.DefaultTimeout, "per-peer fetch attempt timeout")
-	peerHedge := flag.Duration("peer-hedge", peer.DefaultHedgeDelay, "slow-peer budget before a backup fetch launches against the next peer (negative: hedging off)")
 	flag.Parse()
 
 	// The daemon always runs cache-backed: an in-memory cache still
@@ -104,16 +101,12 @@ func main() {
 		log.Fatal(err)
 	}
 	if *peers != "" {
-		pc, err := peer.NewClient(peer.Options{
-			Peers:      strings.Split(*peers, ","),
-			Timeout:    *peerTimeout,
-			HedgeDelay: *peerHedge,
-		})
+		pc, err := peer.NewClient(strings.Split(*peers, ","))
 		if err != nil {
 			log.Fatal(err)
 		}
 		cache.SetPeers(pc)
-		log.Printf("peer cache tier: %d peers, %s timeout, %s hedge delay", pc.NumPeers(), *peerTimeout, *peerHedge)
+		log.Printf("peer cache tier: %d peers", pc.NumPeers())
 	}
 	srv := service.NewServer(service.Options{
 		Cache:             cache,

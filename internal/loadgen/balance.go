@@ -9,23 +9,6 @@ import (
 	"time"
 )
 
-// Balance policies accepted by PlayConfig.Balance.
-const (
-	// BalanceLeastLoaded steers every attempt to the replica with the
-	// lowest observed load: the queued+running gauge from a background
-	// /statsz probe plus the jobs this replay already has in flight
-	// against it. Replicas that failed their last exchange or probe
-	// carry a penalty until they answer again, so a dead replica costs
-	// at most the attempts in flight when it died — later picks route
-	// around it instead of rediscovering the corpse round-robin style.
-	// The default for fleets.
-	BalanceLeastLoaded = "least-loaded"
-	// BalanceRoundRobin is the legacy fleet policy: trace position i,
-	// attempt a goes to replica (i+a) mod n. Kept for A/B runs against
-	// the least-loaded picker.
-	BalanceRoundRobin = "round-robin"
-)
-
 // statsPollInterval is the cadence of each replica's background
 // /statsz probe; statsPollTimeout bounds one probe so a hung replica
 // cannot stall its poll loop for longer than a couple of intervals.
@@ -39,11 +22,15 @@ const (
 // must keep probing somebody rather than deadlock.
 const deadPenalty = 1 << 20
 
-// leastLoaded is the fleet balancer behind BalanceLeastLoaded. One
-// poll goroutine per replica keeps a queued+running load gauge fresh;
+// leastLoaded is the fleet balancer: it steers every attempt to the
+// replica with the lowest observed load. One poll goroutine per
+// replica keeps a queued+running load gauge fresh from /statsz;
 // acquire picks the argmin of polled load + local in-flight count +
 // dead penalty, with a rotating tie-break so equally idle replicas
-// share work instead of the first one absorbing every burst.
+// share work instead of the first one absorbing every burst. Replicas
+// that failed their last exchange or probe carry the penalty until
+// they answer again, so a dead replica costs at most the attempts in
+// flight when it died.
 type leastLoaded struct {
 	bases []string
 	// client is a dedicated probe client: probes must not compete with

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"additivity/internal/service"
@@ -22,16 +24,12 @@ type PlayConfig struct {
 	// the single-replica convenience form of BaseURLs.
 	BaseURL string
 	// BaseURLs lists every replica of the fleet. Attempts are steered
-	// by the Balance policy (least-loaded by default), and a failed
-	// attempt retries on another replica — a replica killed mid-trace
-	// only costs the jobs in flight against it one resubmit each. When
-	// both are set, BaseURLs wins.
+	// to the least-loaded replica (polled /statsz queue depth plus
+	// local in-flight counts), and a failed attempt retries on another
+	// replica — a replica killed mid-trace only costs the jobs in
+	// flight against it one resubmit each. When both are set, BaseURLs
+	// wins.
 	BaseURLs []string
-	// Balance selects the fleet replica-selection policy:
-	// BalanceLeastLoaded (the default) steers by polled /statsz queue
-	// depth plus local in-flight counts; BalanceRoundRobin restores the
-	// legacy position-modulo spread. Ignored with a single replica.
-	Balance string
 	// Trace is the workload to replay.
 	Trace *Trace
 	// Players bounds the concurrent request drivers (default 8). Each
@@ -68,8 +66,9 @@ type PlayConfig struct {
 	// chaos is the installed fault-injecting transport, kept for its
 	// counters (nil without Chaos).
 	chaos *chaosTransport
-	// balancer is the least-loaded picker; nil under round-robin or a
-	// single replica (fill installs it, Play closes it).
+	// balancer is the least-loaded picker; nil for a single replica,
+	// which needs neither a picker nor /statsz polling (fill installs
+	// it, Play closes it).
 	balancer *leastLoaded
 }
 
@@ -151,15 +150,8 @@ func (c *PlayConfig) fill() error {
 		c.Client = &cl
 		c.chaos = ct
 	}
-	switch c.Balance {
-	case "", BalanceLeastLoaded:
-		if len(c.BaseURLs) > 1 {
-			c.balancer = newLeastLoaded(c.BaseURLs)
-		}
-	case BalanceRoundRobin:
-	default:
-		return fmt.Errorf("loadgen: PlayConfig.Balance = %q, want %q or %q",
-			c.Balance, BalanceLeastLoaded, BalanceRoundRobin)
+	if len(c.BaseURLs) > 1 {
+		c.balancer = newLeastLoaded(c.BaseURLs)
 	}
 	c.waitQuery = "?wait=" + c.PollWait.String() + "&result=1"
 	c.stats = &runStats{}
@@ -263,12 +255,21 @@ func retryBackoff(attempt int) time.Duration {
 	return 10 * time.Millisecond << uint(attempt-1)
 }
 
+// maxRefusals is how many consecutive refused connections every
+// replica may answer one job with before the job fails. A refused dial
+// means nothing listens on the port; waiting out PerJobTimeout against
+// a fleet that is down everywhere only delays the verdict. A replica
+// restarting inside a live fleet never trips this: its siblings still
+// accept the retries.
+const maxRefusals = 5
+
 // playOne drives one trace position end to end and returns its
 // latency in milliseconds and outcome. The reported latency covers the
 // accepted attempt — submit to result on the replica that took the job
 // — not the backpressure spent getting accepted; shed, draining and
 // retry counts quantify that separately. PerJobTimeout still bounds
-// the whole loop, every retry and backoff included.
+// the whole loop, every retry and backoff included, and a job every
+// replica keeps refusing fails after maxRefusals refusals each.
 func (cfg *PlayConfig) playOne(idx int) (float64, int, error) {
 	body, err := json.Marshal(cfg.Trace.Jobs[idx])
 	if err != nil {
@@ -278,6 +279,7 @@ func (cfg *PlayConfig) playOne(idx int) (float64, int, error) {
 	deadline := time.Now().Add(cfg.PerJobTimeout)
 
 	var lastErr error
+	var refused []int // consecutive refusals per replica; nil until the first
 	prev := -1
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -289,27 +291,34 @@ func (cfg *PlayConfig) playOne(idx int) (float64, int, error) {
 					idx, cfg.PerJobTimeout, attempt, lastErr)
 			}
 		}
-		// Pick the replica: the least-loaded balancer steers by polled
-		// queue depth and avoids the replica whose attempt just failed;
-		// round-robin spreads by trace position, each retry moving to
-		// the next replica.
-		var base string
-		pick := -1
+		// Pick the replica: the balancer steers by polled queue depth
+		// and avoids the replica whose attempt just failed.
+		pick := 0
 		if cfg.balancer != nil {
 			pick = cfg.balancer.acquire(prev)
-			base = cfg.BaseURLs[pick]
-		} else {
-			base = cfg.BaseURLs[(idx+attempt)%len(cfg.BaseURLs)]
 		}
-		ms, out, err := cfg.attemptOne(idx, base, body, deadline)
+		ms, out, err := cfg.attemptOne(idx, cfg.BaseURLs[pick], body, deadline)
 		if cfg.balancer != nil {
 			cfg.balancer.release(pick, out == outcomeRetry)
-			prev = pick
 		}
 		if out != outcomeRetry {
 			return ms, out, err
 		}
-		lastErr = err
+		prev, lastErr = pick, err
+		if !errors.Is(err, syscall.ECONNREFUSED) {
+			if refused != nil {
+				refused[pick] = 0
+			}
+			continue
+		}
+		if refused == nil {
+			refused = make([]int, len(cfg.BaseURLs))
+		}
+		refused[pick]++
+		if slices.Min(refused) >= maxRefusals {
+			return 0, outcomeFailed, fmt.Errorf("trace position %d: every replica refused %d consecutive connections: %w",
+				idx, maxRefusals, err)
+		}
 	}
 }
 

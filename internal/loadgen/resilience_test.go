@@ -150,68 +150,113 @@ func TestPlayDoesNotRetryBadRequests(t *testing.T) {
 }
 
 // With one replica of the fleet dead, every job lands on the survivor
-// under either balance policy and the replay still ends clean with
-// full results. Round-robin rediscovers the corpse on half the
-// positions and pays a retry each time; the least-loaded picker's
-// probes and failure feedback steer later picks around it, so its
-// retry bill is bounded by the attempts in flight when the first
-// failures landed — possibly zero when a probe beat the first pick.
+// and the replay still ends clean with full results. The least-loaded
+// picker's probes and failure feedback steer later picks around the
+// corpse, so the retry bill is bounded by the attempts in flight when
+// the first failures landed — possibly zero when a probe beat the
+// first pick.
 func TestPlayFailsOverToSurvivingReplica(t *testing.T) {
 	trace := fastTrace(t, 8)
 	daemon := newDaemon(t, service.Options{})
 
-	// A listener that is already closed: connections are refused, the
-	// shape a SIGKILLed replica leaves behind.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	deadURL := closedURL(t)
+	t.Run("least-loaded", func(t *testing.T) {
+		onResult, results, mu := collectResults(len(trace.Jobs))
+		report, err := Play(PlayConfig{
+			BaseURLs: []string{deadURL, daemon.URL},
+			Trace:    trace,
+			Players:  4,
+			OnResult: onResult,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Failed != 0 || report.Aborted != 0 {
+			t.Fatalf("failover replay had hard failures: %+v", report)
+		}
+		if report.Succeeded != len(trace.Jobs) {
+			t.Fatalf("succeeded = %d, want %d", report.Succeeded, len(trace.Jobs))
+		}
+		// The balancer must not do worse than one retry per job.
+		if report.Retries > len(trace.Jobs) {
+			t.Fatalf("retries = %d, want <= %d", report.Retries, len(trace.Jobs))
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i, res := range results {
+			if res == nil {
+				t.Fatalf("trace position %d has no result after failover", i)
+			}
+			// Duplicate identities must still agree byte for byte.
+			for j := 0; j < i; j++ {
+				if traceJobsEqual(trace, i, j) && !bytes.Equal(results[i], results[j]) {
+					t.Fatalf("positions %d and %d share an identity but disagree", i, j)
+				}
+			}
+		}
+	})
+}
+
+// closedURL returns the URL of a listener that is already closed:
+// connections are refused, the shape a SIGKILLed replica leaves behind.
+func closedURL(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadURL := "http://" + dead.Addr().String()
-	dead.Close()
+	url := "http://" + ln.Addr().String()
+	ln.Close()
+	return url
+}
 
-	for _, balance := range []string{BalanceRoundRobin, BalanceLeastLoaded} {
-		t.Run(balance, func(t *testing.T) {
-			onResult, results, mu := collectResults(len(trace.Jobs))
-			report, err := Play(PlayConfig{
-				BaseURLs: []string{deadURL, daemon.URL},
-				Trace:    trace,
-				Players:  4,
-				Balance:  balance,
-				OnResult: onResult,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if report.Failed != 0 || report.Aborted != 0 {
-				t.Fatalf("failover replay had hard failures: %+v", report)
-			}
-			if report.Succeeded != len(trace.Jobs) {
-				t.Fatalf("succeeded = %d, want %d", report.Succeeded, len(trace.Jobs))
-			}
-			if balance == BalanceRoundRobin {
-				// Half the positions start on the dead replica and must
-				// retry.
-				if report.Retries < len(trace.Jobs)/2 {
-					t.Fatalf("retries = %d, want >= %d", report.Retries, len(trace.Jobs)/2)
-				}
-			} else if report.Retries > len(trace.Jobs) {
-				// Least-loaded must not do worse than one retry per job.
-				t.Fatalf("retries = %d under least-loaded, want <= %d", report.Retries, len(trace.Jobs))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for i, res := range results {
-				if res == nil {
-					t.Fatalf("trace position %d has no result after failover", i)
-				}
-				// Duplicate identities must still agree byte for byte.
-				for j := 0; j < i; j++ {
-					if traceJobsEqual(trace, i, j) && !bytes.Equal(results[i], results[j]) {
-						t.Fatalf("positions %d and %d share an identity but disagree", i, j)
-					}
-				}
-			}
-		})
+// A fleet whose every replica refuses connections fails each job after
+// a bounded number of refusals instead of waiting out PerJobTimeout.
+func TestPlayFailsFastWhenEveryReplicaRefuses(t *testing.T) {
+	trace := fastTrace(t, 4)
+	report, err := Play(PlayConfig{
+		BaseURLs: []string{closedURL(t), closedURL(t)},
+		Trace:    trace,
+		Players:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Failed != len(trace.Jobs) {
+		t.Fatalf("failed = %d, want every one of %d jobs: %+v", report.Failed, len(trace.Jobs), report)
+	}
+	if report.ElapsedS > 5 {
+		t.Fatalf("replay against a dead fleet took %.1fs, want a few seconds at most", report.ElapsedS)
+	}
+}
+
+// A single replica gets no balancer, so the replay never polls /statsz:
+// the only daemon traffic is the jobs themselves.
+func TestPlaySingleReplicaSendsNoStatsz(t *testing.T) {
+	trace := fastTrace(t, 8)
+	cache, err := memo.New(memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.NewServer(service.Options{Cache: cache, MaxConcurrentJobs: 4})
+	var statsz atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/statsz" {
+			statsz.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	report, err := Play(PlayConfig{BaseURL: ts.URL, Trace: trace, Players: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Succeeded != len(trace.Jobs) {
+		t.Fatalf("succeeded = %d, want %d", report.Succeeded, len(trace.Jobs))
+	}
+	if n := statsz.Load(); n != 0 {
+		t.Fatalf("single-replica replay sent %d /statsz requests, want 0", n)
 	}
 }
 

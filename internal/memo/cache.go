@@ -86,12 +86,6 @@ type Options struct {
 	// generation and evicts cold entries oldest-first (see
 	// DiskStore.Compact). 0 means unbounded.
 	DiskMaxBytes int64
-	// DisableLeases turns off cross-process single-flight on the disk
-	// store. By default a disk-backed cache coordinates with every
-	// other process sharing the directory through digest-named lease
-	// files, so N replicas never duplicate a measurement; a
-	// single-process batch run can opt out to skip the lease traffic.
-	DisableLeases bool
 }
 
 // DefaultMaxEntries bounds the in-process LRU when Options.MaxEntries
@@ -294,9 +288,7 @@ func New(opts Options) (*Cache, error) {
 		c.disk = disk
 		c.diskMaxBytes = opts.DiskMaxBytes
 		c.brk = NewBreaker()
-		if !opts.DisableLeases {
-			c.leases = newLeaseManager(opts.Dir)
-		}
+		c.leases = newLeaseManager(opts.Dir)
 	}
 	return c, nil
 }

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -137,25 +138,37 @@ func parseLease(raw []byte) (pid int, owner string, seq uint64, err error) {
 	return pid, owner, seq, nil
 }
 
-// tryAcquire attempts to become the lease holder for k. The lease file
-// is published atomically with its full contents: the body is written
-// to a temp file and hard-linked into place, so no reader ever sees a
-// partially written lease, and the link fails exactly when another
-// holder already owns the digest.
-func (lm *leaseManager) tryAcquire(k Key) bool {
+// stage writes this manager's lease body for seq to a temp file next
+// to k's lease and returns the temp file's name. Leases are published
+// from a staged file by link or rename, so no reader ever sees a
+// partially written lease.
+func (lm *leaseManager) stage(k Key, seq uint64) (string, error) {
 	tmp, err := os.CreateTemp(lm.dir, k.Hex()+".lease-tmp*")
+	if err != nil {
+		return "", err
+	}
+	name := tmp.Name()
+	if _, err := tmp.Write(lm.formatLease(seq)); err != nil {
+		tmp.Close()
+		os.Remove(name)
+		return "", err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(name)
+		return "", err
+	}
+	return name, nil
+}
+
+// tryAcquire attempts to become the lease holder for k. The staged
+// lease is hard-linked into place, and the link fails exactly when
+// another holder already owns the digest.
+func (lm *leaseManager) tryAcquire(k Key) bool {
+	name, err := lm.stage(k, 0)
 	if err != nil {
 		return false
 	}
-	name := tmp.Name()
 	defer os.Remove(name)
-	if _, err := tmp.Write(lm.formatLease(0)); err != nil {
-		tmp.Close()
-		return false
-	}
-	if err := tmp.Close(); err != nil {
-		return false
-	}
 	if err := os.Link(name, lm.path(k)); err != nil {
 		return false
 	}
@@ -191,18 +204,8 @@ func (lm *leaseManager) heartbeat(k Key) (stop func()) {
 
 // rewrite atomically replaces k's lease body (heartbeat bump).
 func (lm *leaseManager) rewrite(k Key, seq uint64) {
-	tmp, err := os.CreateTemp(lm.dir, k.Hex()+".lease-tmp*")
+	name, err := lm.stage(k, seq)
 	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(lm.formatLease(seq)); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
 		return
 	}
 	if err := os.Rename(name, lm.path(k)); err != nil {
@@ -224,15 +227,42 @@ func (lm *leaseManager) release(k Key) {
 	}
 }
 
-// takeover claims a stale lease. The rename is the arbitration point:
-// when several followers observe the same dead holder, exactly one
-// rename succeeds, and only that follower proceeds to acquire.
-func (lm *leaseManager) takeover(k Key) bool {
-	if err := os.Rename(lm.path(k), lm.path(k)+".tk-"+lm.owner); err != nil {
+// takeover claims the stale lease a follower observed as raw. An
+// exclusively created per-digest marker file arbitrates between the
+// followers that observed the same dead holder. Under the marker the
+// lease is re-read and replaced in one rename only if it still holds
+// the observed bytes, so a follower acting on an old observation can
+// never replace the lease another follower has since taken over. The
+// lease file stays in place throughout, so no follower can acquire an
+// empty slot in between either. A follower killed while it holds the
+// marker blocks further takeovers of that digest; its peers then fall
+// back to the wait budget's bypass.
+func (lm *leaseManager) takeover(k Key, raw []byte) bool {
+	marker := lm.path(k) + ".tk"
+	f, err := os.OpenFile(marker, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
 		return false
 	}
-	os.Remove(lm.path(k) + ".tk-" + lm.owner)
-	return lm.tryAcquire(k)
+	f.Close()
+	defer os.Remove(marker)
+	cur, err := os.ReadFile(lm.path(k))
+	if os.IsNotExist(err) {
+		// Released since the observation: contend like any follower.
+		return lm.tryAcquire(k)
+	}
+	if err != nil || !bytes.Equal(cur, raw) {
+		return false
+	}
+	name, err := lm.stage(k, 0)
+	if err != nil {
+		return false
+	}
+	if err := os.Rename(name, lm.path(k)); err != nil {
+		os.Remove(name)
+		return false
+	}
+	lm.acquired.Add(1)
+	return true
 }
 
 // waitResult is a follower's exit from the wait loop.
@@ -304,7 +334,7 @@ func (lm *leaseManager) waitOrAcquire(k Key, loadEntry func() ([]byte, bool)) ([
 		default:
 			lastSeq, seenSeq, stall = seq, true, 0
 		}
-		if stale && lm.takeover(k) {
+		if stale && lm.takeover(k, raw) {
 			// The dead holder may have published its entry between our
 			// probe and the takeover — a publish-then-die with the lease
 			// still on disk. Serve it rather than recompute.

@@ -36,42 +36,22 @@ import (
 	"additivity/internal/memo"
 )
 
-// Defaults for Options zero values.
 const (
-	// DefaultTimeout bounds one fetch attempt against one peer. It is
+	// attemptTimeout bounds one fetch attempt against one peer. It is
 	// generous relative to a LAN round trip because the alternative to
 	// a slow peer answer is usually a far slower measurement.
-	DefaultTimeout = 2 * time.Second
-	// DefaultHedgeDelay is how long the first-choice peer gets before a
+	attemptTimeout = 2 * time.Second
+	// hedgeDelay is how long the first-choice peer gets before a
 	// backup request launches against the next healthy peer.
-	DefaultHedgeDelay = 25 * time.Millisecond
-	// DefaultMaxBlobBytes caps an accepted response body. Cache entries
-	// are serialized measurement tables (KBs); anything near the cap is
-	// a broken or hostile peer, not a cache entry.
-	DefaultMaxBlobBytes = 64 << 20
+	hedgeDelay = 25 * time.Millisecond
+	// maxBlobBytes caps an accepted response body. Cache entries are
+	// serialized measurement tables (KBs); anything near the cap is a
+	// broken or hostile peer, not a cache entry.
+	maxBlobBytes = 64 << 20
 )
 
 // ErrBlobTooLarge marks a peer response body over the size cap.
 var ErrBlobTooLarge = errors.New("peer: blob exceeds size limit")
-
-// Options configures a Client.
-type Options struct {
-	// Peers are the sibling replicas' base URLs (e.g.
-	// "http://10.0.0.2:8080"). Trailing slashes are stripped; empty
-	// elements are dropped.
-	Peers []string
-	// Timeout bounds one attempt against one peer (0: DefaultTimeout).
-	Timeout time.Duration
-	// HedgeDelay is the slow-peer budget before a backup request
-	// launches (0: DefaultHedgeDelay; negative: hedging disabled).
-	HedgeDelay time.Duration
-	// MaxBlobBytes caps an accepted response body
-	// (0: DefaultMaxBlobBytes).
-	MaxBlobBytes int64
-	// Client is the HTTP client to fetch with (nil: a dedicated client;
-	// per-attempt deadlines come from request contexts either way).
-	Client *http.Client
-}
 
 // remote is one configured peer and its health state.
 type remote struct {
@@ -82,38 +62,25 @@ type remote struct {
 // Client fetches cache entries from sibling replicas. It is safe for
 // concurrent use and implements memo.PeerSource.
 type Client struct {
-	remotes    []*remote
-	timeout    time.Duration
+	remotes []*remote
+	// hedgeDelay is the hedgeDelay constant; tests that must not hedge
+	// raise it past any fetch's lifetime.
 	hedgeDelay time.Duration
-	maxBlob    int64
-	http       *http.Client
+	// http is a dedicated client; per-attempt deadlines come from
+	// request contexts.
+	http *http.Client
 
 	fetchErrors atomic.Uint64
 	hedgesWon   atomic.Uint64
 }
 
-// NewClient builds a peer client. At least one usable peer URL is
-// required — a daemon with no -peers simply doesn't construct one.
-func NewClient(opts Options) (*Client, error) {
-	c := &Client{
-		timeout:    opts.Timeout,
-		hedgeDelay: opts.HedgeDelay,
-		maxBlob:    opts.MaxBlobBytes,
-		http:       opts.Client,
-	}
-	if c.timeout <= 0 {
-		c.timeout = DefaultTimeout
-	}
-	if c.hedgeDelay == 0 {
-		c.hedgeDelay = DefaultHedgeDelay
-	}
-	if c.maxBlob <= 0 {
-		c.maxBlob = DefaultMaxBlobBytes
-	}
-	if c.http == nil {
-		c.http = &http.Client{}
-	}
-	for _, p := range opts.Peers {
+// NewClient builds a peer client over the sibling replicas' base URLs
+// (e.g. "http://10.0.0.2:8080"; trailing slashes are stripped, empty
+// elements dropped). At least one usable peer URL is required — a
+// daemon with no -peers simply doesn't construct one.
+func NewClient(peers []string) (*Client, error) {
+	c := &Client{hedgeDelay: hedgeDelay, http: &http.Client{}}
+	for _, p := range peers {
 		base := strings.TrimRight(strings.TrimSpace(p), "/")
 		if base == "" {
 			continue
@@ -213,7 +180,7 @@ func (c *Client) Fetch(key memo.Key) ([]byte, bool) {
 	// answers, the payload is checksum-verified against the same
 	// content digest.
 	//lint:ignore determinism hedge scheduling is operational wall-clock outside every result path; fetched bytes are verified content-addressed entries
-	hedge := time.NewTimer(c.hedgeDelayOrNever())
+	hedge := time.NewTimer(c.hedgeDelay)
 	defer hedge.Stop()
 	for {
 		select {
@@ -239,15 +206,6 @@ func (c *Client) Fetch(key memo.Key) ([]byte, bool) {
 	}
 }
 
-// hedgeDelayOrNever maps a negative HedgeDelay (hedging disabled) to a
-// timer that never fires within a fetch's lifetime.
-func (c *Client) hedgeDelayOrNever() time.Duration {
-	if c.hedgeDelay < 0 {
-		return c.timeout * time.Duration(len(c.remotes)+1)
-	}
-	return c.hedgeDelay
-}
-
 // fetchOne runs one attempt against one peer and folds the outcome
 // into that peer's breaker: a verified 200 is a success, a 404 is
 // neutral (the peer is healthy, it just doesn't hold the entry), and
@@ -255,7 +213,7 @@ func (c *Client) hedgeDelayOrNever() time.Duration {
 // malformed or checksum-mismatched body — is a failure. A parent
 // cancellation (another peer already won) is no signal at all.
 func (c *Client) fetchOne(ctx context.Context, r *remote, key memo.Key) ([]byte, bool) {
-	reqCtx, cancel := context.WithTimeout(ctx, c.timeout)
+	reqCtx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, r.base+"/v1/peer/blob/"+key.Hex(), nil)
 	if err != nil {
@@ -273,7 +231,7 @@ func (c *Client) fetchOne(ctx context.Context, r *remote, key memo.Key) ([]byte,
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBlob+1))
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes+1))
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, false
@@ -281,7 +239,7 @@ func (c *Client) fetchOne(ctx context.Context, r *remote, key memo.Key) ([]byte,
 			c.fail(r)
 			return nil, false
 		}
-		payload, err := ParseBlob(raw, c.maxBlob)
+		payload, err := ParseBlob(raw, maxBlobBytes)
 		if err != nil {
 			c.fail(r)
 			return nil, false

@@ -36,7 +36,7 @@ func TestFetchServesVerifiedEntry(t *testing.T) {
 	key := memo.KeyOf("peer-fetch-hit")
 	want := []byte("measured payload bytes")
 	ts, _ := blobServer(t, map[string][]byte{key.Hex(): want})
-	c, err := NewClient(Options{Peers: []string{ts.URL}})
+	c, err := NewClient([]string{ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFetchServesVerifiedEntry(t *testing.T) {
 
 func TestFetchMissOn404(t *testing.T) {
 	ts, _ := blobServer(t, nil)
-	c, err := NewClient(Options{Peers: []string{ts.URL}})
+	c, err := NewClient([]string{ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,11 @@ func TestFetchFailsOverPast404(t *testing.T) {
 	// Both orderings: whichever peer startIndex picks first, the entry
 	// is found.
 	for _, peers := range [][]string{{empty.URL, full.URL}, {full.URL, empty.URL}} {
-		c, err := NewClient(Options{Peers: peers, HedgeDelay: -1})
+		c, err := NewClient(peers)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.hedgeDelay = time.Hour // the failover alone must find the entry
 		got, ok := c.Fetch(key)
 		if !ok || string(got) != string(want) {
 			t.Fatalf("Fetch with peers %v = %q, %v", peers, got, ok)
@@ -95,7 +96,7 @@ func TestFetchFailsOverPast404(t *testing.T) {
 func TestFetchHedgesSlowPeer(t *testing.T) {
 	// startIndex depends only on the digest and the peer count, so
 	// probe for a key whose first choice is peer 0 — the slow one.
-	probe, err := NewClient(Options{Peers: []string{"http://a:1", "http://b:2"}})
+	probe, err := NewClient([]string{"http://a:1", "http://b:2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFetchHedgesSlowPeer(t *testing.T) {
 	}))
 	defer slow.Close()
 	fast, _ := blobServer(t, map[string][]byte{key.Hex(): want})
-	c, err := NewClient(Options{Peers: []string{slow.URL, fast.URL}, HedgeDelay: time.Millisecond})
+	c, err := NewClient([]string{slow.URL, fast.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestFetchRejectsCorruptBlobs(t *testing.T) {
 				w.Write(body)
 			}))
 			defer ts.Close()
-			c, err := NewClient(Options{Peers: []string{ts.URL}})
+			c, err := NewClient([]string{ts.URL})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +174,7 @@ func TestFetchBreakerSkipsDeadPeer(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer dead.Close()
-	c, err := NewClient(Options{Peers: []string{dead.URL}, HedgeDelay: -1})
+	c, err := NewClient([]string{dead.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestFetchBreakerSkipsDeadPeer(t *testing.T) {
 
 // With every breaker open the fetch is an immediate miss.
 func TestFetchAllBreakersOpen(t *testing.T) {
-	c, err := NewClient(Options{Peers: []string{"http://127.0.0.1:1"}, Timeout: 50 * time.Millisecond})
+	c, err := NewClient([]string{"http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,13 +219,13 @@ func TestFetchAllBreakersOpen(t *testing.T) {
 }
 
 func TestNewClientValidation(t *testing.T) {
-	if _, err := NewClient(Options{}); err == nil {
+	if _, err := NewClient(nil); err == nil {
 		t.Fatal("NewClient with no peers succeeded")
 	}
-	if _, err := NewClient(Options{Peers: []string{" ", ""}}); err == nil {
+	if _, err := NewClient([]string{" ", ""}); err == nil {
 		t.Fatal("NewClient with blank peers succeeded")
 	}
-	c, err := NewClient(Options{Peers: []string{"http://a:1/", "b:2"}})
+	c, err := NewClient([]string{"http://a:1/", "b:2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestNewClientValidation(t *testing.T) {
 
 func TestFetchZeroKey(t *testing.T) {
 	ts, hits := blobServer(t, nil)
-	c, err := NewClient(Options{Peers: []string{ts.URL}})
+	c, err := NewClient([]string{ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestParseBlobSizeCap(t *testing.T) {
 
 // startIndex is deterministic and in range for any peer count.
 func TestStartIndexStable(t *testing.T) {
-	c, err := NewClient(Options{Peers: []string{"http://a:1", "http://b:2", "http://c:3"}})
+	c, err := NewClient([]string{"http://a:1", "http://b:2", "http://c:3"})
 	if err != nil {
 		t.Fatal(err)
 	}

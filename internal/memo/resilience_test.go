@@ -158,7 +158,7 @@ func TestLeaseTakeoverDeadHolder(t *testing.T) {
 			if st.LeaseTakeovers != 1 || st.Misses != 1 || st.Stores != 1 || st.DuplicateStores != 0 {
 				t.Fatalf("takeover stats: %+v", st)
 			}
-			// The lease (and the takeover's rename tombstone) must be gone.
+			// The lease (and the takeover marker) must be gone.
 			des, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -483,7 +483,7 @@ func TestCacheAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("y"), 100)
 	budget := 4 * entrySize(len(payload))
-	c := mustCache(t, Options{Dir: dir, DiskMaxBytes: budget, DisableLeases: true})
+	c := mustCache(t, Options{Dir: dir, DiskMaxBytes: budget})
 	for i := 0; i < 20; i++ {
 		k := KeyOf(fmt.Sprintf("auto-%d", i))
 		if _, _, err := c.GetOrCompute(k, constPayload(payload)); err != nil {

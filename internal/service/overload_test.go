@@ -166,7 +166,7 @@ func TestInvalidTimeoutIs400(t *testing.T) {
 func TestHealthzDegradedOnBreakerOpen(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "cache")
-	cache, err := memo.New(memo.Options{Dir: dir, DisableLeases: true})
+	cache, err := memo.New(memo.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

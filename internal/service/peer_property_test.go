@@ -93,7 +93,7 @@ func TestPeerServedResultsIdenticalToBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := peer.NewClient(peer.Options{Peers: []string{srvA.URL}})
+		pc, err := peer.NewClient([]string{srvA.URL})
 		if err != nil {
 			t.Fatal(err)
 		}

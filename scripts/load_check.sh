@@ -6,36 +6,13 @@
 # single-flight merges, never recomputed — the warm replay must add no
 # cache misses), and the hot-path allocation budgets.
 #
-# Usage: [OUT=report.json] [RACE=0] [BASELINE=BENCH_PR6.json]
-#        scripts/load_check.sh [jobs] [players]
-#
-# OUT copies the final load report out of the temp dir (the BENCH_PR6/7
-# recording path); RACE=0 builds the daemon without the race detector
-# so recorded throughput is undistorted. With RACE=0, the warm replay's
-# throughput is also checked against the BASELINE recording's warm
-# req/s: a regression of more than 20% fails the gate (race-built
-# daemons skip the floor — the detector distorts throughput ~10x).
+# Usage: scripts/load_check.sh [jobs] [players]
 set -u
 
 JOBS="${1:-200}"
 PLAYERS="${2:-8}"
-OUT="${OUT:-}"
-RACE="${RACE:-1}"
-BASELINE="${BASELINE:-BENCH_PR6.json}"
-DIR="$(mktemp -d)"
-DAEMON_PID=""
-cleanup() {
-    [ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null
-    rm -rf "$DIR"
-}
-trap cleanup EXIT
-
-# The daemon runs under the race detector by default: the load replay
-# doubles as a concurrency test of the whole service surface.
-RACEFLAG="-race"
-[ "$RACE" = "0" ] && RACEFLAG=""
-go build $RACEFLAG -o "$DIR/additivityd" ./cmd/additivityd || exit 1
-go build -o "$DIR/additivity-load" ./cmd/additivity-load || exit 1
+. "$(dirname "$0")/lib.sh"
+build_binaries
 
 # Allocation-regression gate for the serving hot paths. These tests
 # need real allocation counts, so they run without the race detector
@@ -48,33 +25,14 @@ go test -count=1 -run 'TestWarmLookupZeroAllocs|TestPlannedGatherAllocatesLessTh
     exit 1
 }
 
-echo "booting additivityd${RACEFLAG:+ (race-instrumented)} on an ephemeral port..."
-"$DIR/additivityd" -addr 127.0.0.1:0 -max-jobs "$PLAYERS" \
-    >"$DIR/daemon.out" 2>"$DIR/daemon.err" &
-DAEMON_PID=$!
-
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^listening on //p' "$DIR/daemon.out" | head -1)
-    [ -n "$ADDR" ] && break
-    if ! kill -0 "$DAEMON_PID" 2>/dev/null; then
-        echo "FAIL: daemon exited during startup" >&2
-        cat "$DIR/daemon.err" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [ -z "$ADDR" ]; then
-    echo "FAIL: daemon never announced its address" >&2
-    cat "$DIR/daemon.err" >&2
-    exit 1
-fi
+echo "booting additivityd (race-instrumented) on an ephemeral port..."
+boot_daemon daemon 127.0.0.1:0 -max-jobs "$PLAYERS"
 echo "daemon listening on $ADDR"
 
 echo "replaying a ${JOBS}-job skewed trace with ${PLAYERS} players..."
 "$DIR/additivity-load" -url "http://$ADDR" \
     -gen skewed -jobs "$JOBS" -players "$PLAYERS" \
-    -out "$DIR/report.json" >"$DIR/load.out" 2>"$DIR/load.err" || {
+    >"$DIR/load.out" 2>"$DIR/load.err" || {
     echo "FAIL: load replay reported failed or aborted jobs" >&2
     cat "$DIR/load.out" "$DIR/load.err" >&2
     exit 1
@@ -87,22 +45,20 @@ cat "$DIR/load.out"
 # — the faster the hot path, the narrower the overlap window — so the
 # gate checks hits+merges and, below, that the warm replay adds zero
 # misses (no unit is ever computed twice).
-MERGES=$(grep -o '"single_flight_merges":[0-9]*' "$DIR/load.out" \
-    | head -1 | grep -o '[0-9]*$')
-HITS=$(grep -o '"hits":[0-9]*' "$DIR/load.out" | head -1 | grep -o '[0-9]*$')
-COLD_MISSES=$(grep -o '"misses":[0-9]*' "$DIR/load.out" | head -1 | grep -o '[0-9]*$')
+MERGES=$(stat_of "$ADDR" single_flight_merges "$DIR/load.out")
+HITS=$(stat_of "$ADDR" hits "$DIR/load.out")
+COLD_MISSES=$(stat_of "$ADDR" misses "$DIR/load.out")
 if [ -z "$MERGES" ] || [ -z "$HITS" ] || [ "$((HITS + MERGES))" -eq 0 ]; then
     echo "FAIL: skewed replay served no duplicates from the cache" >&2
     exit 1
 fi
 
 # Replay the same trace once more against the now-warm daemon: every
-# job settles on the job-level cache's fast path. The warm report both
-# feeds the recorded artifact (OUT) and the throughput floor below.
+# job settles on the job-level cache's fast path.
 echo "replaying again against the warm daemon..."
 "$DIR/additivity-load" -url "http://$ADDR" \
     -gen skewed -jobs "$JOBS" -players "$PLAYERS" \
-    -out "$DIR/warm.json" >"$DIR/warm.out" 2>/dev/null || {
+    >"$DIR/warm.out" 2>/dev/null || {
     echo "FAIL: warm replay reported failed or aborted jobs" >&2
     cat "$DIR/warm.out" >&2
     exit 1
@@ -111,65 +67,15 @@ cat "$DIR/warm.out"
 
 # Dedup invariant, warm leg: replaying the identical trace must add no
 # cache misses — every job is served from the cache, nothing recomputes.
-WARM_MISSES=$(grep -o '"misses":[0-9]*' "$DIR/warm.out" | head -1 | grep -o '[0-9]*$')
+WARM_MISSES=$(stat_of "$ADDR" misses "$DIR/warm.out")
 if [ -n "$COLD_MISSES" ] && [ -n "$WARM_MISSES" ] \
     && [ "$WARM_MISSES" -ne "$COLD_MISSES" ]; then
     echo "FAIL: warm replay recomputed cached units (misses ${COLD_MISSES} -> ${WARM_MISSES})" >&2
     exit 1
 fi
 
-# Warm-throughput floor: an undistorted (RACE=0) warm replay must hold
-# at least 80% of the baseline recording's warm req/s.
-if [ "$RACE" = "0" ] && [ -f "$BASELINE" ]; then
-    WARM_RPS=$(grep -o '"req_per_sec": *[0-9.]*' "$DIR/warm.json" \
-        | head -1 | grep -o '[0-9.]*$')
-    BASE_RPS=$(sed -n '/"warm"/,$p' "$BASELINE" \
-        | grep -o '"req_per_sec": *[0-9.]*' | head -1 | grep -o '[0-9.]*$')
-    if [ -n "$WARM_RPS" ] && [ -n "$BASE_RPS" ]; then
-        if ! awk -v w="$WARM_RPS" -v b="$BASE_RPS" 'BEGIN{exit !(w >= 0.8*b)}'; then
-            echo "FAIL: warm throughput ${WARM_RPS} req/s is below 80% of the ${BASELINE} baseline (${BASE_RPS} req/s)" >&2
-            exit 1
-        fi
-        echo "warm throughput ${WARM_RPS} req/s holds the floor (baseline ${BASE_RPS} req/s)"
-    else
-        echo "WARN: could not extract warm req/s for the throughput floor" >&2
-    fi
-fi
-
-if [ -n "$OUT" ]; then
-    # The recorded artifact also carries the analytic fast path: a trace
-    # whose identities are all analytic predict jobs, served
-    # synchronously from the platform catalog with no gather. One player
-    # only — this leg records the service's own latency, and extra
-    # players sharing the benchmark core would add queueing delay that
-    # has nothing to do with the serving path.
-    echo "replaying an all-predict analytic trace..."
-    "$DIR/additivity-load" -url "http://$ADDR" \
-        -gen skewed -jobs "$JOBS" -players 1 -predict-share 1 \
-        -out "$DIR/analytic.json" >"$DIR/analytic.out" 2>/dev/null || {
-        echo "FAIL: analytic predict replay reported failed or aborted jobs" >&2
-        cat "$DIR/analytic.out" >&2
-        exit 1
-    }
-    cat "$DIR/analytic.out"
-    {
-        echo '{'
-        echo '  "cold":'
-        sed 's/^/  /' "$DIR/report.json" | sed '$s/$/,/'
-        echo '  "warm":'
-        sed 's/^/  /' "$DIR/warm.json" | sed '$s/$/,/'
-        echo '  "analytic":'
-        sed 's/^/  /' "$DIR/analytic.json"
-        echo '}'
-    } >"$OUT"
-    echo "wrote cold+warm+analytic load reports to $OUT"
-fi
-
 # SIGTERM must drain cleanly: exit 0 with no jobs failed or aborted.
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID"
-STATUS=$?
-DAEMON_PID=""
+stop_daemon "$DAEMON_PID"
 if [ "$STATUS" -ne 0 ]; then
     echo "FAIL: daemon exited $STATUS after SIGTERM" >&2
     cat "$DIR/daemon.err" >&2
@@ -180,10 +86,6 @@ if ! grep -q 'drained:.*0 failed, 0 aborted' "$DIR/daemon.err"; then
     cat "$DIR/daemon.err" >&2
     exit 1
 fi
-if grep -q 'DATA RACE' "$DIR/daemon.err"; then
-    echo "FAIL: race detector fired in the daemon" >&2
-    cat "$DIR/daemon.err" >&2
-    exit 1
-fi
+check_races daemon
 
 echo "PASS: ${JOBS} jobs replayed clean ($((HITS + MERGES)) duplicates served from cache, ${MERGES} single-flight merges) with a clean drain"

@@ -5,43 +5,29 @@
 #      skewed trace clean and records its combined results digest — the
 #      truth every later leg must reproduce byte for byte. The daemon
 #      is then stopped; its cache directory stays behind, warm.
-#   2. Peer fleet: three replicas (race-instrumented by default) with
-#      SEPARATE cache directories, wired to each other with -peers.
-#      Replica A is rebooted over the warm baseline directory; B and C
-#      start cold and can reach the entries only over the peer wire.
-#      The same trace replays across all three (least-loaded balancing)
-#      while C is SIGKILLed mid-trace. Required: a clean replay, the
-#      baseline digest reproduced exactly, nonzero peer hits (the wire
-#      actually served entries), and zero cache misses on the warm
-#      replica A — peers must never push a duplicate measurement onto
-#      a replica that already has the bytes.
-#   3. Bench (OUT set): three more fleets replay the trace cold — one
-#      with no peer wiring, one peer-wired against warm A, one sharing
-#      a single cache directory — and the peer-warm leg must hold at
-#      least 2x the no-peer fleet's req/s.
+#   2. Peer fleet: three race-instrumented replicas with SEPARATE cache
+#      directories, wired to each other with -peers. Replica A is
+#      rebooted over the warm baseline directory; B and C start cold
+#      and can reach the entries only over the peer wire. The same
+#      trace replays across all three (least-loaded balancing) while C
+#      is SIGKILLed mid-trace, as soon as it has accepted work.
+#      Required: a clean replay, the baseline digest reproduced exactly,
+#      nonzero peer hits (the wire actually served entries), nonzero
+#      retries (the kill cost resubmits, not failures), and zero cache
+#      misses on the warm replica A — peers must never push a duplicate
+#      measurement onto a replica that already has the bytes.
+#   3. Peer payoff: two more fleets replay the trace — one with no peer
+#      wiring over three cold directories, one peer-wired against a
+#      replica over the warm directory. The peer-warm fleet must
+#      reproduce the baseline digest and hold at least 2x the no-peer
+#      fleet's req/s.
 #
-# Usage: [OUT=BENCH_PR9.json] [RACE=0] scripts/peer_check.sh [jobs] [players]
-#
-# OUT writes the legs' reports as one JSON artifact (the BENCH_PR9
-# recording path); RACE=0 builds the daemons without the race detector
-# so recorded throughput is undistorted. The mid-trace kill gate is
-# only enforced when the replay was still running at kill time.
+# Usage: scripts/peer_check.sh [jobs] [players]
 set -u
 
 JOBS="${1:-200}"
 PLAYERS="${2:-8}"
-OUT="${OUT:-}"
-RACE="${RACE:-1}"
-DIR="$(mktemp -d)"
-PIDS=()
-cleanup() {
-    for pid in ${PIDS[@]+"${PIDS[@]}"}; do
-        kill -9 "$pid" 2>/dev/null
-        wait "$pid" 2>/dev/null
-    done
-    rm -rf "$DIR"
-}
-trap cleanup EXIT
+. "$(dirname "$0")/lib.sh"
 
 # Concurrency-contract gate before any replica boots: the peer legs
 # prove wire-level invariants, which mean nothing if a replica can
@@ -49,58 +35,7 @@ trap cleanup EXIT
 echo "== concurrency lint =="
 make lint-concurrency || { echo "FAIL: concurrency-contract lint failed" >&2; exit 1; }
 
-RACEFLAG="-race"
-[ "$RACE" = "0" ] && RACEFLAG=""
-go build $RACEFLAG -o "$DIR/additivityd" ./cmd/additivityd || exit 1
-go build -o "$DIR/additivity-load" ./cmd/additivity-load || exit 1
-
-# boot_daemon <name> <addr> <cache-dir> [extra flags...]: starts one
-# replica, waits for its announced address, and appends its pid to
-# PIDS. The bound address lands in $ADDR, the pid in $DAEMON_PID.
-boot_daemon() {
-    local name="$1" addr="$2" cache="$3"
-    shift 3
-    "$DIR/additivityd" -addr "$addr" -cache-dir "$cache" "$@" \
-        >"$DIR/$name.out" 2>"$DIR/$name.err" &
-    local pid=$!
-    PIDS+=("$pid")
-    ADDR=""
-    for _ in $(seq 1 100); do
-        ADDR=$(sed -n 's/^listening on //p' "$DIR/$name.out" | head -1)
-        [ -n "$ADDR" ] && break
-        if ! kill -0 "$pid" 2>/dev/null; then
-            echo "FAIL: replica $name exited during startup" >&2
-            cat "$DIR/$name.err" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-    if [ -z "$ADDR" ]; then
-        echo "FAIL: replica $name never announced its address" >&2
-        exit 1
-    fi
-    DAEMON_PID=$pid
-}
-
-# digest_of <load output file>: the combined results digest line.
-digest_of() {
-    sed -n 's/^results digest: //p' "$1" | head -1
-}
-
-# sum_stat <field> <load output file>: sums one numeric statsz counter
-# across every replica's statsz line. The quoted field anchor keeps
-# e.g. "misses" from also matching "peer_misses".
-sum_stat() {
-    grep -o "\"$1\":[0-9]*" "$2" | grep -o '[0-9]*$' \
-        | awk '{s+=$1} END {print s+0}'
-}
-
-# stat_of <replica addr> <field> <load output file>: one replica's
-# statsz counter.
-stat_of() {
-    grep "server statsz http://$1:" "$3" | grep -o "\"$2\":[0-9]*" \
-        | head -1 | grep -o '[0-9]*$'
-}
+build_binaries
 
 # rps_of <report.json>: the replay's req_per_sec.
 rps_of() {
@@ -111,11 +46,11 @@ rps_of() {
 
 echo "leg 1: single-replica baseline (${JOBS} jobs, ${PLAYERS} players)..."
 A_CACHE="$DIR/cache-a"
-boot_daemon baseline 127.0.0.1:0 "$A_CACHE"
-BASE_PID=$DAEMON_PID A_ADDR=$ADDR
+boot_daemon baseline 127.0.0.1:0 -cache-dir "$A_CACHE"
+A_ADDR=$ADDR
 "$DIR/additivity-load" -url "http://$A_ADDR" \
     -gen skewed -jobs "$JOBS" -players "$PLAYERS" \
-    -write-trace "$DIR/trace.json" -digest -out "$DIR/baseline.json" \
+    -write-trace "$DIR/trace.json" -digest \
     >"$DIR/baseline.out" 2>"$DIR/baseline.err" || {
     echo "FAIL: baseline replay reported failed or aborted jobs" >&2
     cat "$DIR/baseline.out" "$DIR/baseline.err" >&2
@@ -126,8 +61,7 @@ if [ -z "$BASE_DIGEST" ]; then
     echo "FAIL: baseline replay printed no results digest" >&2
     exit 1
 fi
-kill "$BASE_PID" 2>/dev/null
-wait "$BASE_PID" 2>/dev/null
+stop_daemon "$DAEMON_PID"
 echo "baseline digest: $BASE_DIGEST"
 
 # ---- Leg 2: peer-wired fleet, separate dirs, SIGKILL mid-trace ------
@@ -135,11 +69,11 @@ echo "baseline digest: $BASE_DIGEST"
 echo "leg 2: peer fleet (separate cache dirs, C SIGKILLed mid-trace)..."
 # B and C start cold, pointed at A's known address; A reboots last on
 # that same address over its warm directory, pointed back at B and C.
-boot_daemon b 127.0.0.1:0 "$DIR/cache-b" -peers "http://$A_ADDR"
+boot_daemon b 127.0.0.1:0 -cache-dir "$DIR/cache-b" -peers "http://$A_ADDR"
 B_ADDR=$ADDR
-boot_daemon c 127.0.0.1:0 "$DIR/cache-c" -peers "http://$A_ADDR,http://$B_ADDR"
+boot_daemon c 127.0.0.1:0 -cache-dir "$DIR/cache-c" -peers "http://$A_ADDR,http://$B_ADDR"
 C_PID=$DAEMON_PID C_ADDR=$ADDR
-boot_daemon a "$A_ADDR" "$A_CACHE" -peers "http://$B_ADDR,http://$C_ADDR"
+boot_daemon a "$A_ADDR" -cache-dir "$A_CACHE" -peers "http://$B_ADDR,http://$C_ADDR"
 
 FLEET_PLAYERS=$((PLAYERS + PLAYERS / 2))
 "$DIR/additivity-load" \
@@ -151,16 +85,8 @@ LOAD_PID=$!
 
 # SIGKILL replica C mid-trace: no drain, no goodbye; the balancer and
 # the retry loop must absorb it, and A/B's breakers contain the dead
-# peer without stalling their own fetches. The delay is short because
-# a peer-warm fleet drains the trace fast — the kill must land while
-# jobs are still in flight.
-sleep 0.1
-KILLED_MIDRUN=0
-if kill -0 "$LOAD_PID" 2>/dev/null; then
-    KILLED_MIDRUN=1
-fi
-kill -9 "$C_PID" 2>/dev/null
-wait "$C_PID" 2>/dev/null
+# peer without stalling their own fetches.
+kill_once_busy "$C_ADDR" "$C_PID" "$LOAD_PID"
 
 wait "$LOAD_PID"
 LOAD_STATUS=$?
@@ -191,107 +117,66 @@ if [ "$A_MISSES" -ne 0 ]; then
     exit 1
 fi
 RETRIES=$(grep -o '"retries": *[0-9]*' "$DIR/peerfleet.json" | grep -o '[0-9]*$')
-if [ "$KILLED_MIDRUN" = "1" ] && [ "${RETRIES:-0}" -eq 0 ]; then
+if [ "${RETRIES:-0}" -eq 0 ]; then
     echo "FAIL: replica C was killed mid-trace but the replay recorded no retries" >&2
     exit 1
 fi
-for err in a.err b.err c.err; do
-    if grep -q 'DATA RACE' "$DIR/$err" 2>/dev/null; then
-        echo "FAIL: race detector fired in $err" >&2
-        cat "$DIR/$err" >&2
-        exit 1
-    fi
+check_races a b c
+echo "peer leg: digest matches baseline, $PEER_HITS peer hits, A misses 0, $RETRIES retries (killed mid-run: $KILLED_MIDRUN)"
+
+# ---- Leg 3: peer payoff, no-peer vs peer-warm -----------------------
+
+# Stop leg 2's survivors; the warm A directory is reused below.
+for pid in ${PIDS[@]+"${PIDS[@]}"}; do
+    stop_daemon "$pid" KILL
 done
-echo "peer leg: digest matches baseline, $PEER_HITS peer hits, A misses 0, ${RETRIES:-0} retries (killed mid-run: $KILLED_MIDRUN)"
 
-# ---- Leg 3 (bench): no-peer vs peer-warm vs shared-dir --------------
+echo "leg 3a: no-peer fleet (3 cold separate dirs)..."
+boot_daemon n1 127.0.0.1:0 -cache-dir "$DIR/cache-n1"
+N1=$ADDR
+boot_daemon n2 127.0.0.1:0 -cache-dir "$DIR/cache-n2"
+N2=$ADDR
+boot_daemon n3 127.0.0.1:0 -cache-dir "$DIR/cache-n3"
+N3=$ADDR
+"$DIR/additivity-load" -url "http://$N1,http://$N2,http://$N3" \
+    -trace "$DIR/trace.json" -players "$FLEET_PLAYERS" \
+    -out "$DIR/nopeer.json" >"$DIR/nopeer.out" 2>/dev/null || {
+    echo "FAIL: no-peer fleet replay failed" >&2
+    cat "$DIR/nopeer.out" >&2
+    exit 1
+}
 
-if [ -n "$OUT" ]; then
-    # Stop leg 2's survivors; the warm A directory is reused below.
-    for pid in ${PIDS[@]+"${PIDS[@]}"}; do
-        kill -9 "$pid" 2>/dev/null
-        wait "$pid" 2>/dev/null
-    done
-    PIDS=()
-
-    echo "leg 3a: no-peer fleet (3 cold separate dirs)..."
-    boot_daemon n1 127.0.0.1:0 "$DIR/cache-n1"
-    N1=$ADDR
-    boot_daemon n2 127.0.0.1:0 "$DIR/cache-n2"
-    N2=$ADDR
-    boot_daemon n3 127.0.0.1:0 "$DIR/cache-n3"
-    N3=$ADDR
-    "$DIR/additivity-load" -url "http://$N1,http://$N2,http://$N3" \
-        -trace "$DIR/trace.json" -players "$FLEET_PLAYERS" \
-        -out "$DIR/nopeer.json" >"$DIR/nopeer.out" 2>/dev/null || {
-        echo "FAIL: no-peer fleet replay failed" >&2
-        cat "$DIR/nopeer.out" >&2
-        exit 1
-    }
-
-    echo "leg 3b: peer-warm fleet (A warm, B/C cold, peer-wired)..."
-    boot_daemon pa 127.0.0.1:0 "$A_CACHE"
-    PA=$ADDR
-    boot_daemon pb 127.0.0.1:0 "$DIR/cache-pb" -peers "http://$PA"
-    PB=$ADDR
-    boot_daemon pc2 127.0.0.1:0 "$DIR/cache-pc" -peers "http://$PA,http://$PB"
-    PC=$ADDR
-    "$DIR/additivity-load" -url "http://$PA,http://$PB,http://$PC" \
-        -trace "$DIR/trace.json" -players "$FLEET_PLAYERS" \
-        -digest -out "$DIR/peerwarm.json" >"$DIR/peerwarm.out" 2>/dev/null || {
-        echo "FAIL: peer-warm fleet replay failed" >&2
-        cat "$DIR/peerwarm.out" >&2
-        exit 1
-    }
-    WARM_DIGEST=$(digest_of "$DIR/peerwarm.out")
-    if [ "$WARM_DIGEST" != "$BASE_DIGEST" ]; then
-        echo "FAIL: peer-warm digest $WARM_DIGEST differs from baseline $BASE_DIGEST" >&2
-        exit 1
-    fi
-
-    echo "leg 3c: shared-dir fleet (3 replicas, one cold cache dir)..."
-    boot_daemon s1 127.0.0.1:0 "$DIR/cache-shared"
-    S1=$ADDR
-    boot_daemon s2 127.0.0.1:0 "$DIR/cache-shared"
-    S2=$ADDR
-    boot_daemon s3 127.0.0.1:0 "$DIR/cache-shared"
-    S3=$ADDR
-    "$DIR/additivity-load" -url "http://$S1,http://$S2,http://$S3" \
-        -trace "$DIR/trace.json" -players "$FLEET_PLAYERS" \
-        -out "$DIR/shared.json" >"$DIR/shared.out" 2>/dev/null || {
-        echo "FAIL: shared-dir fleet replay failed" >&2
-        cat "$DIR/shared.out" >&2
-        exit 1
-    }
-
-    NOPEER_RPS=$(rps_of "$DIR/nopeer.json")
-    PEER_RPS=$(rps_of "$DIR/peerwarm.json")
-    SHARED_RPS=$(rps_of "$DIR/shared.json")
-    if [ -z "$NOPEER_RPS" ] || [ -z "$PEER_RPS" ]; then
-        echo "FAIL: could not extract req/s from the bench legs" >&2
-        exit 1
-    fi
-    if ! awk -v p="$PEER_RPS" -v n="$NOPEER_RPS" 'BEGIN{exit !(p >= 2*n)}'; then
-        echo "FAIL: peer-warm fleet ${PEER_RPS} req/s is under 2x the no-peer fleet's ${NOPEER_RPS} req/s" >&2
-        exit 1
-    fi
-    echo "bench legs: peer-warm ${PEER_RPS} req/s vs no-peer ${NOPEER_RPS} req/s vs shared-dir ${SHARED_RPS:-?} req/s"
-
-    {
-        echo '{'
-        echo '  "baseline":'
-        sed 's/^/  /' "$DIR/baseline.json" | sed '$s/$/,/'
-        echo '  "peer_fleet_killed":'
-        sed 's/^/  /' "$DIR/peerfleet.json" | sed '$s/$/,/'
-        echo '  "no_peer":'
-        sed 's/^/  /' "$DIR/nopeer.json" | sed '$s/$/,/'
-        echo '  "peer_warm":'
-        sed 's/^/  /' "$DIR/peerwarm.json" | sed '$s/$/,/'
-        echo '  "shared_dir":'
-        sed 's/^/  /' "$DIR/shared.json"
-        echo '}'
-    } >"$OUT"
-    echo "wrote baseline+peer+bench reports to $OUT"
+echo "leg 3b: peer-warm fleet (A warm, B/C cold, peer-wired)..."
+boot_daemon pa 127.0.0.1:0 -cache-dir "$A_CACHE"
+PA=$ADDR
+boot_daemon pb 127.0.0.1:0 -cache-dir "$DIR/cache-pb" -peers "http://$PA"
+PB=$ADDR
+boot_daemon pc 127.0.0.1:0 -cache-dir "$DIR/cache-pc" -peers "http://$PA,http://$PB"
+PC=$ADDR
+"$DIR/additivity-load" -url "http://$PA,http://$PB,http://$PC" \
+    -trace "$DIR/trace.json" -players "$FLEET_PLAYERS" \
+    -digest -out "$DIR/peerwarm.json" >"$DIR/peerwarm.out" 2>/dev/null || {
+    echo "FAIL: peer-warm fleet replay failed" >&2
+    cat "$DIR/peerwarm.out" >&2
+    exit 1
+}
+WARM_DIGEST=$(digest_of "$DIR/peerwarm.out")
+if [ "$WARM_DIGEST" != "$BASE_DIGEST" ]; then
+    echo "FAIL: peer-warm digest $WARM_DIGEST differs from baseline $BASE_DIGEST" >&2
+    exit 1
 fi
 
-echo "PASS: peer fleet reproduced the baseline digest byte for byte with $PEER_HITS peer hits, zero misses on the warm replica, and a mid-trace SIGKILL absorbed"
+NOPEER_RPS=$(rps_of "$DIR/nopeer.json")
+PEER_RPS=$(rps_of "$DIR/peerwarm.json")
+if [ -z "$NOPEER_RPS" ] || [ -z "$PEER_RPS" ]; then
+    echo "FAIL: could not extract req/s from the payoff legs" >&2
+    exit 1
+fi
+if ! awk -v p="$PEER_RPS" -v n="$NOPEER_RPS" 'BEGIN{exit !(p >= 2*n)}'; then
+    echo "FAIL: peer-warm fleet ${PEER_RPS} req/s is under 2x the no-peer fleet's ${NOPEER_RPS} req/s" >&2
+    exit 1
+fi
+check_races n1 n2 n3 pa pb pc
+echo "payoff legs: peer-warm ${PEER_RPS} req/s vs no-peer ${NOPEER_RPS} req/s"
+
+echo "PASS: peer fleet reproduced the baseline digest byte for byte with $PEER_HITS peer hits, zero misses on the warm replica, and a mid-trace SIGKILL absorbed; peer-warm fleet held >= 2x the no-peer req/s"
