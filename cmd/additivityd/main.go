@@ -22,12 +22,18 @@
 //	                             long-poll and ?result=1 to inline a
 //	                             done job's payload — the single
 //	                             round-trip fast path)
-//	GET    /v1/jobs              list jobs in submission order
+//	GET    /v1/jobs              list retained jobs in submission order
 //	GET    /v1/jobs/{id}         poll one job (same ?wait / ?result)
 //	GET    /v1/jobs/{id}/result  fetch a done job's result payload
 //	DELETE /v1/jobs/{id}         abort a queued or running job
 //	GET    /v1/peer/blob/{digest} serve one stored cache entry to a
 //	                             sibling replica (memo1 wire framing)
+//
+// Job retention: the job table has a fixed size. Queued and running
+// jobs always stay in it; a settled job stays until 4096 further jobs
+// have settled. After that its id answers 410 "expired" (resubmit the
+// request for a new id); an id never issued answers 404
+// "unknown_job". /statsz reports jobs.retained and jobs.retain_limit.
 //
 // Peer cache tier: -peers lists sibling replicas' base URLs. On a
 // local cache miss the daemon asks them for the entry (hedged

@@ -349,8 +349,9 @@ func (cfg *PlayConfig) attemptOne(idx int, base string, body []byte, deadline ti
 		st, err = cfg.getStatus(base, st.ID)
 		if err != nil {
 			// A failed poll means the replica died, restarted (losing its
-			// in-memory job registry) or the connection was severed; the
-			// only recovery is a resubmit.
+			// in-memory job registry), expired the job out of its
+			// retention window or the connection was severed; the only
+			// recovery is a resubmit.
 			return 0, cfg.classify(err, false), err
 		}
 	}
@@ -382,7 +383,8 @@ func (cfg *PlayConfig) attemptOne(idx int, base string, body []byte, deadline ti
 // draining answers as it goes. fatal4xx marks client-error codes
 // terminal — true on the submit path, where a 400 means the trace
 // entry itself is malformed and no retry can fix it; false on polls,
-// where a 404 just means the replica restarted and lost the job.
+// where a 404 just means the replica restarted and lost the job and a
+// 410 that the job left the replica's retention window.
 func (cfg *PlayConfig) classify(err error, fatal4xx bool) int {
 	var he *httpError
 	if !errors.As(err, &he) {

@@ -387,3 +387,64 @@ func proxyTo(t *testing.T, base string, w http.ResponseWriter, r *http.Request) 
 		t.Logf("proxy copy: %v", err)
 	}
 }
+
+// A poll answered 410 expired means the job left the replica's
+// retention window before the player read it. The player must recover
+// with a resubmit that succeeds, counted as a retry, not a failure.
+func TestPlayResubmitsExpiredJob(t *testing.T) {
+	trace := fastTrace(t, 1)
+	cache, err := memo.New(memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.NewServer(service.Options{Cache: cache})
+	daemon := httptest.NewServer(srv)
+	t.Cleanup(daemon.Close)
+
+	// Settle one job, then enough after it to push it out of the window.
+	req := service.JobRequest{Kind: service.KindPredict}
+	expired := srv.Submit(req)
+	for i := 0; i < srv.Stats().Jobs.RetainLimit; i++ {
+		srv.Submit(req)
+	}
+	resp, err := http.Get(daemon.URL + "/v1/jobs/" + expired.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("poll of the aged-out job = HTTP %d, want 410", resp.StatusCode)
+	}
+
+	// The edge answers the first submit with the aged-out job, still
+	// queued, so the player's poll meets the daemon's real 410.
+	var faked atomic.Bool
+	edge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && faked.CompareAndSwap(false, true) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			_, _ = io.WriteString(w, `{"id":"`+expired.ID+`","kind":"predict","state":"queued"}`)
+			return
+		}
+		proxyTo(t, daemon.URL, w, r)
+	}))
+	t.Cleanup(edge.Close)
+
+	onResult, results, mu := collectResults(len(trace.Jobs))
+	report, err := Play(PlayConfig{BaseURL: edge.URL, Trace: trace, Players: 1, OnResult: onResult})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Failed != 0 || report.Succeeded != len(trace.Jobs) {
+		t.Fatalf("expired-job replay: %+v (errors: %v)", report, report.Errors)
+	}
+	if report.Retries != 1 {
+		t.Fatalf("retries = %d, want 1 (one resubmit after the 410)", report.Retries)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(results[0]) == 0 {
+		t.Fatal("the resubmitted job delivered no result")
+	}
+}

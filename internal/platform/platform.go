@@ -115,7 +115,18 @@ func ByName(name string) (*Spec, error) {
 	case "skylake":
 		return Skylake(), nil
 	default:
-		return nil, fmt.Errorf("platform: unknown platform %q (want haswell or skylake)", name)
+		return nil, CheckName(name)
+	}
+}
+
+// CheckName reports whether name is a preset platform without building
+// its Spec: nil when ByName would succeed, ByName's error otherwise.
+func CheckName(name string) error {
+	switch name {
+	case "haswell", "skylake":
+		return nil
+	default:
+		return fmt.Errorf("platform: unknown platform %q (want haswell or skylake)", name)
 	}
 }
 

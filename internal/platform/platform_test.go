@@ -54,6 +54,18 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestCheckNameAgreesWithByName: CheckName accepts exactly the names
+// ByName resolves and fails with ByName's error otherwise.
+func TestCheckNameAgreesWithByName(t *testing.T) {
+	for _, name := range []string{"haswell", "skylake", "zen4", "", "Haswell"} {
+		_, want := ByName(name)
+		got := CheckName(name)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("CheckName(%q) = %v, ByName error = %v", name, got, want)
+		}
+	}
+}
+
 func TestCatalogSizesMatchPaper(t *testing.T) {
 	cases := []struct {
 		spec          *Spec

@@ -275,8 +275,8 @@ func TestPredictTrainedDeterministic(t *testing.T) {
 }
 
 // TestWarmLookupZeroAllocs is the hot-path allocation budget: once the
-// pooled scratch is warm, serving a cache-hit lookup for a normalised
-// request must not allocate at all. This is the regression gate for
+// pooled scratch is warm, keying a normalised request and serving its
+// cache hit must not allocate at all. This is the regression gate for
 // the zero-alloc steady state recorded in BENCH_PR7.
 func TestWarmLookupZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -295,16 +295,119 @@ func TestWarmLookupZeroAllocs(t *testing.T) {
 	if st := srv.Submit(req); st.State != StateDone {
 		t.Fatalf("prime submit = %+v", st)
 	}
+	lookup := func() bool {
+		key, err := normalizedKey(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ok := cache.Lookup(key)
+		return ok
+	}
 	// Warm the pool and verify the entry is servable.
-	if _, ok := srv.lookupWarm(&req); !ok {
-		t.Fatal("primed entry not visible to lookupWarm")
+	if !lookup() {
+		t.Fatal("primed entry not visible to the warm lookup")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := srv.lookupWarm(&req); !ok {
-			t.Fatal("lookupWarm missed mid-benchmark")
+		if !lookup() {
+			t.Fatal("warm lookup missed mid-benchmark")
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("warm cache-hit lookup allocates %.1f/op, budget 0", allocs)
+	}
+}
+
+// discardWriter is a ResponseWriter that drops the body, so a handler
+// allocation count carries nothing of the recorder's own.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// rewindBody is a request body that replays without allocating.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// handlerAllocs measures the allocations of one whole single-round-trip
+// submit, POST /v1/jobs?wait=30s&result=1 through Server.ServeHTTP,
+// averaged over runs calls. body(i) is the request body of call i; the
+// warm-up calls first fill the job table past its retention bound, so
+// the count is the steady state of a long-running daemon.
+func handlerAllocs(t *testing.T, runs int, body func(i int) []byte) float64 {
+	t.Helper()
+	cache, err := memo.New(memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Options{Cache: cache})
+	rb := &rewindBody{}
+	req, err := http.NewRequest(http.MethodPost, "/v1/jobs?wait=30s&result=1", rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardWriter{h: http.Header{}}
+	i := 0
+	call := func() {
+		rb.Reset(body(i))
+		i++
+		clear(w.h)
+		srv.ServeHTTP(w, req)
+	}
+	for i < retainSettled+1 {
+		call()
+	}
+	allocs := testing.AllocsPerRun(runs, call)
+	st := srv.Stats()
+	if st.Jobs.Done != uint64(i) || st.Jobs.Failed != 0 {
+		t.Fatalf("%d submits settled %d done, %d failed", i, st.Jobs.Done, st.Jobs.Failed)
+	}
+	if st.Jobs.Retained != retainSettled {
+		t.Fatalf("job table holds %d jobs, want the retention bound %d", st.Jobs.Retained, retainSettled)
+	}
+	return allocs
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSubmitHandlerAllocBudgets bounds the allocations of the whole
+// submit handler on its three fast-path shapes: a warm check hit, a
+// warm analytic-predict hit, and a fresh analytic predict answered in
+// closed form. TestWarmLookupZeroAllocs covers only the cache lookup;
+// these budgets cover decode, normalise, key, settle, retain and
+// encode. Each budget is the count measured when it was set.
+func TestSubmitHandlerAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race runtime")
+	}
+	check := mustMarshal(t, JobRequest{Kind: KindCheck, Params: JobParams{Compounds: 2, Reps: 2}})
+	predict := mustMarshal(t, JobRequest{Kind: KindPredict})
+	const runs = 500
+	fresh := make([][]byte, retainSettled+1+runs+1)
+	for i := range fresh {
+		fresh[i] = mustMarshal(t, JobRequest{Kind: KindPredict, Params: JobParams{App: "mkl-fft", AppSize: 1000 + i}})
+	}
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		body   func(i int) []byte
+	}{
+		{"warm-check", 26, func(int) []byte { return check }},
+		{"warm-predict", 27, func(int) []byte { return predict }},
+		{"fresh-predict", 41, func(i int) []byte { return fresh[i] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := handlerAllocs(t, runs, tc.body); got > tc.budget {
+				t.Errorf("submit allocates %.1f/op, budget %.0f", got, tc.budget)
+			}
+		})
 	}
 }

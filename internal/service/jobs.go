@@ -120,7 +120,7 @@ func (r *JobRequest) Normalize() error {
 	if p.Platform == "" {
 		p.Platform = "haswell"
 	}
-	if _, err := platform.ByName(p.Platform); err != nil {
+	if err := platform.CheckName(p.Platform); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	if p.Seed == 0 {
@@ -273,6 +273,9 @@ type hooks struct {
 // (nil for dataset jobs) carries the resilience and cache accounting
 // the service aggregates into /statsz.
 func Execute(ctx context.Context, cache *memo.Cache, req JobRequest) ([]byte, *core.CheckReport, error) {
+	if err := req.Normalize(); err != nil {
+		return nil, nil, err
+	}
 	return execute(ctx, cache, req, hooks{})
 }
 
@@ -297,22 +300,28 @@ func JobKey(req JobRequest) (memo.Key, error) {
 	return kb.Key(), nil
 }
 
-// executeCached resolves a whole job through the cache's single-flight:
-// concurrent duplicates block on the leader and share its payload;
-// later duplicates are served without touching the engine. Payloads
-// produced on degraded data are returned but never retained. The
-// returned report is nil when the payload came from the cache — a
-// served payload implies no fresh faults to account.
+// executeCached resolves a whole normalised job through the cache's
+// single-flight: concurrent duplicates block on the leader and share
+// its payload; later duplicates are served without touching the
+// engine. Payloads produced on degraded data are returned but never
+// retained. The returned report is nil when the payload came from the
+// cache — a served payload implies no fresh faults to account.
 func executeCached(ctx context.Context, cache *memo.Cache, req JobRequest, h hooks) ([]byte, *core.CheckReport, error) {
-	if err := req.Normalize(); err != nil {
-		return nil, nil, err
+	var key memo.Key
+	if cache != nil {
+		var err error
+		if key, err = normalizedKey(&req); err != nil {
+			return nil, nil, err
+		}
 	}
+	return executeKeyed(ctx, cache, req, key, h)
+}
+
+// executeKeyed is executeCached for a caller that already holds the
+// request's job key (ignored when cache is nil).
+func executeKeyed(ctx context.Context, cache *memo.Cache, req JobRequest, key memo.Key, h hooks) ([]byte, *core.CheckReport, error) {
 	if cache == nil {
 		return execute(ctx, cache, req, h)
-	}
-	key, err := JobKey(req)
-	if err != nil {
-		return nil, nil, err
 	}
 	for {
 		var report *core.CheckReport
@@ -335,10 +344,8 @@ func executeCached(ctx context.Context, cache *memo.Cache, req JobRequest, h hoo
 	}
 }
 
+// execute runs a normalised request on the engine.
 func execute(ctx context.Context, cache *memo.Cache, req JobRequest, h hooks) ([]byte, *core.CheckReport, error) {
-	if err := req.Normalize(); err != nil {
-		return nil, nil, err
-	}
 	switch req.Kind {
 	case KindCheck:
 		return executeCheck(ctx, cache, req.Params, h)

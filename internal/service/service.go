@@ -2,13 +2,17 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +69,23 @@ const DefaultMaxQueuedJobs = 256
 // maxWait caps long-poll durations on the poll and submit endpoints.
 const maxWait = 30 * time.Second
 
+// retainSettled is how many settled jobs the server keeps pollable:
+// the job table holds every in-flight pooled job plus the most recent
+// retainSettled settled ones, so its size stays fixed however many
+// requests the server answers. It matches memo.DefaultMaxEntries, the
+// job cache's own bound, so a retained job's payload is usually also
+// still cached.
+const retainSettled = 4096
+
+var (
+	// ErrUnknownJob means the server never issued the job id.
+	ErrUnknownJob = errors.New("unknown job")
+	// ErrExpired means the job settled and has since left the window
+	// of the last retainSettled settled jobs; resubmitting the request
+	// gets a new id (and, usually, a cache hit).
+	ErrExpired = errors.New("job expired")
+)
+
 // Progress is a job's gather fan-out position.
 type Progress struct {
 	Done  int `json:"done"`
@@ -74,8 +95,9 @@ type Progress struct {
 // job is one submitted unit of work.
 type job struct {
 	id   string
+	seq  uint64 // the N of id "job-N", issued in submission order
 	kind JobKind
-	req  JobRequest
+	req  JobRequest // pooled jobs only: what run executes
 
 	cancel context.CancelFunc
 	doneCh chan struct{}
@@ -111,21 +133,21 @@ type JobStatus struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// wantResult reports whether the request opted into an inline result
+// wantResult reports whether the query opted into an inline result
 // payload with ?result=1 (any strconv.ParseBool true form).
-func wantResult(r *http.Request) bool {
-	v, err := strconv.ParseBool(r.URL.Query().Get("result"))
+func wantResult(q url.Values) bool {
+	v, err := strconv.ParseBool(q.Get("result"))
 	return err == nil && v
 }
 
 // attachResult inlines a done job's payload into its status.
-func (s *Server) attachResult(st *JobStatus) {
+func attachResult(j *job, st *JobStatus) {
 	if st.State != StateDone {
 		return
 	}
-	if payload, err := s.JobResult(st.ID); err == nil {
-		st.Result = payload
-	}
+	j.mu.Lock()
+	st.Result = j.result
+	j.mu.Unlock()
 }
 
 // writeStatus writes a status response. An inline result is spliced
@@ -170,19 +192,23 @@ type FaultStats struct {
 }
 
 // JobCounters counts jobs by lifecycle outcome. Submitted, Done,
-// Failed and Aborted are monotone; Queued and Running are gauges.
+// Failed and Aborted are monotone; Queued, Running and Retained are
+// gauges. Retained is the job table's size: every in-flight pooled job
+// plus at most RetainLimit settled ones.
 type JobCounters struct {
-	Submitted uint64 `json:"submitted"`
-	Queued    uint64 `json:"queued"`
-	Running   uint64 `json:"running"`
-	Done      uint64 `json:"done"`
-	Failed    uint64 `json:"failed"`
-	Aborted   uint64 `json:"aborted"`
+	Submitted   uint64 `json:"submitted"`
+	Queued      uint64 `json:"queued"`
+	Running     uint64 `json:"running"`
+	Done        uint64 `json:"done"`
+	Failed      uint64 `json:"failed"`
+	Aborted     uint64 `json:"aborted"`
+	Retained    int    `json:"retained"`
+	RetainLimit int    `json:"retain_limit"`
 }
 
 // Stats is the /statsz payload. Every counter in it is monotone over
-// the server's lifetime except the Queued/Running/QueueDepth gauges
-// and the Draining/Degraded/Breaker states.
+// the server's lifetime except the Queued/Running/Retained/QueueDepth
+// gauges and the Draining/Degraded/Breaker states.
 type Stats struct {
 	Jobs         JobCounters         `json:"jobs"`
 	HTTPRequests uint64              `json:"http_requests"`
@@ -213,9 +239,15 @@ type Server struct {
 	queueLimit int
 	queueDepth atomic.Int64
 
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string
+	// mu guards the job table. jobs maps a job's seq to the job and
+	// holds every pooled job still in flight plus the settled jobs the
+	// settled ring names; the ring lists settled seqs oldest first from
+	// settledNext (0: an empty slot), and a job entering a full ring
+	// evicts the oldest.
+	mu          sync.Mutex
+	jobs        map[uint64]*job
+	settled     [retainSettled]uint64
+	settledNext int
 
 	jobWG    sync.WaitGroup
 	draining atomic.Bool
@@ -223,6 +255,8 @@ type Server struct {
 	nextID           atomic.Uint64
 	httpRequests     atomic.Uint64
 	jobsSubmitted    atomic.Uint64
+	jobsQueued       atomic.Int64
+	jobsRunning      atomic.Int64
 	jobsDone         atomic.Uint64
 	jobsFailed       atomic.Uint64
 	jobsAborted      atomic.Uint64
@@ -239,11 +273,15 @@ type Server struct {
 //	GET    /statsz               cache, job and fault counters
 //	POST   /v1/jobs              submit a job (JobRequest body;
 //	                             optional ?wait=2s and ?result=1)
-//	GET    /v1/jobs              list jobs in submission order
+//	GET    /v1/jobs              list retained jobs in submission order
 //	GET    /v1/jobs/{id}         poll one job (optional ?wait=2s
 //	                             and ?result=1)
 //	GET    /v1/jobs/{id}/result  fetch a done job's payload
 //	DELETE /v1/jobs/{id}         abort a queued or running job
+//
+// A job stays addressable while it is in flight and for the next
+// retainSettled settles after its own. Past that its id answers 410
+// "expired"; an id the server never issued answers 404 "unknown_job".
 func NewServer(opts Options) *Server {
 	n := opts.MaxConcurrentJobs
 	if n <= 0 {
@@ -260,7 +298,7 @@ func NewServer(opts Options) *Server {
 		opts:       opts,
 		sem:        make(chan struct{}, n),
 		queueLimit: limit,
-		jobs:       make(map[string]*job),
+		jobs:       make(map[uint64]*job),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -372,16 +410,12 @@ func (s *Server) Stats() Stats {
 	st.Jobs.Done = s.jobsDone.Load()
 	st.Jobs.Failed = s.jobsFailed.Load()
 	st.Jobs.Aborted = s.jobsAborted.Load()
+	st.Jobs.Queued = uint64(s.jobsQueued.Load())
+	st.Jobs.Running = uint64(s.jobsRunning.Load())
 	s.mu.Lock()
-	for _, id := range s.order {
-		switch s.jobs[id].snapshotState() {
-		case StateQueued:
-			st.Jobs.Queued++
-		case StateRunning:
-			st.Jobs.Running++
-		}
-	}
+	st.Jobs.Retained = len(s.jobs)
 	s.mu.Unlock()
+	st.Jobs.RetainLimit = retainSettled
 	st.HTTPRequests = s.httpRequests.Load()
 	if s.opts.Cache != nil {
 		cs := s.opts.Cache.Stats()
@@ -404,12 +438,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-func (j *job) snapshotState() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining",
@@ -428,8 +456,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 		return
 	}
+	q := r.URL.Query()
 	var wait time.Duration
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
+	if waitStr := q.Get("wait"); waitStr != "" {
 		d, err := time.ParseDuration(waitStr)
 		if err != nil || d < 0 {
 			writeError(w, http.StatusBadRequest, "invalid_request",
@@ -439,7 +468,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		wait = d
 	}
 	timeout := s.opts.DefaultJobTimeout
-	if toStr := r.URL.Query().Get("timeout"); toStr != "" {
+	if toStr := q.Get("timeout"); toStr != "" {
 		d, err := time.ParseDuration(toStr)
 		if err != nil || d <= 0 {
 			writeError(w, http.StatusBadRequest, "invalid_request",
@@ -448,8 +477,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = d
 	}
-	st, fast := s.submitFast(r.Context(), req)
-	if !fast {
+	var st JobStatus
+	j, fast := s.submitFast(r.Context(), req)
+	if fast {
+		st = s.status(j)
+	} else {
 		// Admission control guards the pooled path only: the fast path
 		// settles synchronously and adds no backlog, so shedding it
 		// would refuse work the server can answer for free.
@@ -460,25 +492,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("accept queue is full (%d jobs queued); retry later", s.queueLimit))
 			return
 		}
-		st = s.startPooled(req, timeout)
+		j, st = s.startPooled(req, timeout)
 	}
 	if wait > 0 && !st.State.Terminal() {
 		if wait > maxWait {
 			wait = maxWait
 		}
-		if j := s.lookup(st.ID); j != nil {
-			timer := time.NewTimer(wait)
-			defer timer.Stop()
-			select {
-			case <-j.doneCh:
-			case <-timer.C:
-			case <-r.Context().Done():
-			}
-			st = s.status(j)
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		select {
+		case <-j.doneCh:
+		case <-timer.C:
+		case <-r.Context().Done():
 		}
+		st = s.status(j)
 	}
-	if wantResult(r) {
-		s.attachResult(&st)
+	if wantResult(q) {
+		attachResult(j, &st)
 	}
 	writeStatus(w, http.StatusAccepted, st)
 }
@@ -515,21 +545,13 @@ func fastJobKey(ks *keyScratch, req *JobRequest) (memo.Key, error) {
 	return ks.kb.Key(), nil
 }
 
-// lookupWarm peeks the memory tier of the job cache for an
-// already-normalised request. In steady state a hit costs zero heap
-// allocations: the key is built on pooled scratch and the cached
-// payload is returned by reference.
-func (s *Server) lookupWarm(req *JobRequest) ([]byte, bool) {
-	if s.opts.Cache == nil {
-		return nil, false
-	}
+// normalizedKey is JobKey for an already-normalised request, built on
+// pooled scratch: in steady state it allocates nothing.
+func normalizedKey(req *JobRequest) (memo.Key, error) {
 	ks := keyPool.Get().(*keyScratch)
 	key, err := fastJobKey(ks, req)
 	keyPool.Put(ks)
-	if err != nil {
-		return nil, false
-	}
-	return s.opts.Cache.Lookup(key)
+	return key, err
 }
 
 // closedCh is the shared pre-closed done channel of jobs born terminal.
@@ -541,64 +563,92 @@ var closedCh = func() chan struct{} {
 
 func noopCancel() {}
 
-// submitFast settles a job synchronously when no engine work is
-// needed: a warm job-cache hit is served straight from memory, and an
-// analytic-tier predict is answered in closed form from the catalog
-// parameters. The job still gets an id, appears in the job list and
-// serves its result like any pooled job — it is simply born terminal,
-// so the submit response is already final and clients can skip the
-// poll loop entirely.
-func (s *Server) submitFast(ctx context.Context, req JobRequest) (JobStatus, bool) {
-	payload, hit := s.lookupWarm(&req)
-	var jobErr error
-	if !hit {
-		if req.Kind != KindPredict || req.Params.Tier != "analytic" {
-			return JobStatus{}, false
+// submitFast settles a normalised job synchronously when no engine
+// work is needed: a warm job-cache hit is served straight from memory,
+// and an analytic-tier predict is answered in closed form from the
+// catalog parameters. The request is keyed once, and the key serves
+// both the warm lookup and the cached compute. The job still gets an
+// id and serves its result like any pooled job while it stays in the
+// retention window — it is simply born terminal, so the submit
+// response is already final and clients can skip the poll loop
+// entirely.
+func (s *Server) submitFast(ctx context.Context, req JobRequest) (*job, bool) {
+	var key memo.Key
+	if s.opts.Cache != nil {
+		var err error
+		if key, err = normalizedKey(&req); err != nil {
+			return s.settleFast(req.Kind, nil, err), true
 		}
-		// Analytic predictions are pure catalog arithmetic; run them
-		// inline through the cache so duplicates share one payload. The
-		// caller's ctx scopes the inline work: a client that disconnects
-		// mid-submit stops paying for its own prediction.
-		payload, _, jobErr = executeCached(ctx, s.opts.Cache, req, hooks{})
+		if payload, hit := s.opts.Cache.Lookup(key); hit {
+			return s.settleFast(req.Kind, payload, nil), true
+		}
 	}
-	id := "job-" + strconv.FormatUint(s.nextID.Add(1), 10)
+	if req.Kind != KindPredict || req.Params.Tier != "analytic" {
+		return nil, false
+	}
+	// Analytic predictions are pure catalog arithmetic; run them inline
+	// through the cache so duplicates share one payload. The caller's
+	// ctx scopes the inline work: a client that disconnects mid-submit
+	// stops paying for its own prediction.
+	payload, _, err := executeKeyed(ctx, s.opts.Cache, req, key, hooks{})
+	return s.settleFast(req.Kind, payload, err), true
+}
+
+// settleFast records a job born terminal: done with payload, or failed
+// with err. It never runs, so it keeps no request.
+func (s *Server) settleFast(kind JobKind, payload []byte, err error) *job {
+	seq := s.nextID.Add(1)
 	j := &job{
-		id: id, kind: req.Kind, req: req,
+		id: "job-" + strconv.FormatUint(seq, 10), seq: seq, kind: kind,
 		cancel: noopCancel, doneCh: closedCh,
 	}
-	if jobErr == nil {
+	if err == nil {
 		j.state = StateDone
 		j.result = payload
 		s.jobsDone.Add(1)
 	} else {
 		j.state = StateFailed
-		j.errMsg = jobErr.Error()
+		j.errMsg = err.Error()
 		s.jobsFailed.Add(1)
 	}
 	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	s.jobs[seq] = j
+	s.retainLocked(seq)
 	s.mu.Unlock()
 	s.jobsSubmitted.Add(1)
-	return s.status(j), true
+	return j
 }
 
-// Submit enqueues a normalised job and returns its initial status. The
-// request must already be valid (HTTP submissions are normalised by the
-// handler; direct callers should call Normalize first). Jobs the server
-// can settle without engine work — warm job-cache hits and analytic
-// predictions — return an already-terminal status instead of queueing.
-// Direct submission is never shed: admission control applies to the
-// HTTP surface, where a caller can be told to retry.
+// retainLocked enters a settled job into the settled ring, evicting the
+// oldest settled job once the ring is full. The caller holds s.mu.
+func (s *Server) retainLocked(seq uint64) {
+	if old := s.settled[s.settledNext]; old != 0 {
+		delete(s.jobs, old)
+	}
+	s.settled[s.settledNext] = seq
+	s.settledNext = (s.settledNext + 1) % retainSettled
+}
+
+// Submit normalises a job request, enqueues it and returns its initial
+// status. A request that fails Normalize settles at once as a failed
+// job. Jobs the server can settle without engine work — warm job-cache
+// hits and analytic predictions — return an already-terminal status
+// instead of queueing. Direct submission is never shed: admission
+// control applies to the HTTP surface, where a caller can be told to
+// retry.
 func (s *Server) Submit(req JobRequest) JobStatus {
+	if err := req.Normalize(); err != nil {
+		return s.status(s.settleFast(req.Kind, nil, err))
+	}
 	// Direct in-process submission has no inbound request whose
 	// cancellation could scope the fast path's inline work.
 	//lint:ignore ctxflow direct in-process submission has no request context to thread; the fast path is bounded catalog arithmetic
-	if st, ok := s.submitFast(context.Background(), req); ok {
-		return st
+	if j, ok := s.submitFast(context.Background(), req); ok {
+		return s.status(j)
 	}
 	s.queueDepth.Add(1)
-	return s.startPooled(req, s.opts.DefaultJobTimeout)
+	_, st := s.startPooled(req, s.opts.DefaultJobTimeout)
+	return st
 }
 
 // reserveQueueSlot claims one accept-queue slot, failing when the
@@ -623,9 +673,9 @@ func (s *Server) reserveQueueSlot() bool {
 // startPooled creates a pooled job whose accept-queue slot is already
 // reserved, applying the given deadline (0: none) to its whole
 // lifetime — queue wait included, so a saturated pool cannot park a
-// deadlined job forever.
-func (s *Server) startPooled(req JobRequest, timeout time.Duration) JobStatus {
-	id := "job-" + strconv.FormatUint(s.nextID.Add(1), 10)
+// deadlined job forever. It returns the job and its queued status.
+func (s *Server) startPooled(req JobRequest, timeout time.Duration) (*job, JobStatus) {
+	seq := s.nextID.Add(1)
 	// A pooled job deliberately outlives the submitting request: the
 	// client may disconnect and poll for the result later, so the job
 	// context detaches from the request and is bounded by the job
@@ -640,18 +690,21 @@ func (s *Server) startPooled(req JobRequest, timeout time.Duration) JobStatus {
 		ctx, cancel = context.WithCancel(base)
 	}
 	j := &job{
-		id: id, kind: req.Kind, req: req,
+		id: "job-" + strconv.FormatUint(seq, 10), seq: seq,
+		kind: req.Kind, req: req,
 		cancel: cancel, doneCh: make(chan struct{}),
 		state: StateQueued,
 	}
+	s.jobsQueued.Add(1)
+	// In flight, the job sits in the table outside the settled ring,
+	// so no number of later settles can evict it.
 	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	s.jobs[seq] = j
 	s.mu.Unlock()
 	s.jobsSubmitted.Add(1)
 	s.jobWG.Add(1)
 	go s.run(ctx, j)
-	return JobStatus{ID: id, Kind: j.kind, State: StateQueued}
+	return j, JobStatus{ID: j.id, Kind: j.kind, State: StateQueued}
 }
 
 // run executes one job on the bounded pool and settles its terminal
@@ -675,6 +728,8 @@ func (s *Server) run(ctx context.Context, j *job) {
 	}
 	j.mu.Lock()
 	j.state = StateRunning
+	s.jobsQueued.Add(-1)
+	s.jobsRunning.Add(1)
 	j.mu.Unlock()
 	payload, report, err := executeCached(ctx, s.opts.Cache, j.req, hooks{
 		progress: func(done, total int) {
@@ -686,11 +741,19 @@ func (s *Server) run(ctx context.Context, j *job) {
 	s.finish(j, payload, report, err)
 }
 
-// finish settles a job's terminal state and folds its resilience
-// accounting into the server counters.
+// finish settles a job's terminal state, folds its resilience
+// accounting into the server counters and enters it into the settled
+// ring.
 func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err error) {
 	deadlined := err != nil && errors.Is(err, context.DeadlineExceeded)
 	j.mu.Lock()
+	// The queued/running gauges move with the state they count, under
+	// the same lock.
+	if j.state == StateRunning {
+		s.jobsRunning.Add(-1)
+	} else {
+		s.jobsQueued.Add(-1)
+	}
 	// Each terminal state charges its counter in the arm that sets it,
 	// so the state a poller observes and the counter /statsz reports
 	// can never drift apart. The counters are atomics: bumping them
@@ -725,12 +788,55 @@ func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err er
 			j.mu.Unlock()
 		}
 	}
+	s.mu.Lock()
+	s.retainLocked(j.seq)
+	s.mu.Unlock()
 }
 
-func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+// parseJobID returns the seq of an id in the canonical "job-N" form.
+func parseJobID(id string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok || digits == "" || digits[0] == '0' {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	return seq, err == nil
+}
+
+// lookup resolves a job id. An id this server issued but no longer
+// retains fails with ErrExpired; any other unknown id with
+// ErrUnknownJob.
+func (s *Server) lookup(id string) (*job, error) {
+	seq, ok := parseJobID(id)
+	if ok {
+		s.mu.Lock()
+		j := s.jobs[seq]
+		s.mu.Unlock()
+		if j != nil {
+			return j, nil
+		}
+		if seq <= s.nextID.Load() {
+			return nil, fmt.Errorf("service: job %s: %w", id, ErrExpired)
+		}
+	}
+	return nil, fmt.Errorf("service: no job %s: %w", id, ErrUnknownJob)
+}
+
+// lookupHTTP resolves the request's {id}, answering 410 expired or 404
+// unknown_job itself when the job is not retained.
+func (s *Server) lookupHTTP(w http.ResponseWriter, r *http.Request) (*job, bool) {
+	id := r.PathValue("id")
+	j, err := s.lookup(id)
+	switch {
+	case err == nil:
+		return j, true
+	case errors.Is(err, ErrExpired):
+		writeError(w, http.StatusGone, "expired",
+			fmt.Sprintf("job %s settled and left the window of the last %d settled jobs; resubmit the request", id, retainSettled))
+	default:
+		writeError(w, http.StatusNotFound, "unknown_job", "no job "+id)
+	}
+	return nil, false
 }
 
 func (s *Server) status(j *job) JobStatus {
@@ -744,16 +850,23 @@ func (s *Server) status(j *job) JobStatus {
 	return st
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
+// retained returns every job in the table in submission order.
+func (s *Server) retained() []*job {
 	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
+	js := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		js = append(js, j)
+	}
 	s.mu.Unlock()
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		if j := s.lookup(id); j != nil {
-			out = append(out, s.status(j))
-		}
+	slices.SortFunc(js, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
+	return js
+}
+
+func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
+	js := s.retained()
+	out := make([]JobStatus, len(js))
+	for i, j := range js {
+		out[i] = s.status(j)
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Jobs []JobStatus `json:"jobs"`
@@ -761,13 +874,12 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown_job",
-			"no job "+r.PathValue("id"))
+	j, ok := s.lookupHTTP(w, r)
+	if !ok {
 		return
 	}
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
+	q := r.URL.Query()
+	if waitStr := q.Get("wait"); waitStr != "" {
 		d, err := time.ParseDuration(waitStr)
 		if err != nil || d < 0 {
 			writeError(w, http.StatusBadRequest, "invalid_request",
@@ -786,17 +898,15 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	st := s.status(j)
-	if wantResult(r) {
-		s.attachResult(&st)
+	if wantResult(q) {
+		attachResult(j, &st)
 	}
 	writeStatus(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown_job",
-			"no job "+r.PathValue("id"))
+	j, ok := s.lookupHTTP(w, r)
+	if !ok {
 		return
 	}
 	state, errMsg, _ := j.snapshot()
@@ -820,10 +930,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown_job",
-			"no job "+r.PathValue("id"))
+	j, ok := s.lookupHTTP(w, r)
+	if !ok {
 		return
 	}
 	j.cancel()
@@ -832,10 +940,10 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 
 // Abort cancels a job by id (the DELETE endpoint's direct form).
 // Aborting a terminal job is a no-op; the return reports whether the
-// job exists.
+// job is retained.
 func (s *Server) Abort(id string) bool {
-	j := s.lookup(id)
-	if j == nil {
+	j, err := s.lookup(id)
+	if err != nil {
 		return false
 	}
 	j.cancel()
@@ -864,25 +972,21 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // AbortAll cancels every non-terminal job — the forced-shutdown path
-// when a drain deadline expires.
+// when a drain deadline expires. In-flight jobs are never evicted, so
+// the table holds all of them.
 func (s *Server) AbortAll() {
-	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	s.mu.Unlock()
-	for _, id := range ids {
-		if j := s.lookup(id); j != nil {
-			j.cancel()
-		}
+	for _, j := range s.retained() {
+		j.cancel()
 	}
 }
 
 // WaitJob blocks until the job settles or ctx expires, returning its
-// final status. Used by in-process callers (tests, the facade).
+// final status. Used by in-process callers (tests, the facade). An id
+// that is not retained fails with ErrExpired or ErrUnknownJob.
 func (s *Server) WaitJob(ctx context.Context, id string) (JobStatus, error) {
-	j := s.lookup(id)
-	if j == nil {
-		return JobStatus{}, fmt.Errorf("service: no job %s", id)
+	j, err := s.lookup(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	select {
 	case <-j.doneCh:
@@ -892,11 +996,12 @@ func (s *Server) WaitJob(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// JobResult returns a done job's canonical payload.
+// JobResult returns a done job's canonical payload. An id that is not
+// retained fails with ErrExpired or ErrUnknownJob.
 func (s *Server) JobResult(id string) ([]byte, error) {
-	j := s.lookup(id)
-	if j == nil {
-		return nil, fmt.Errorf("service: no job %s", id)
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	state, errMsg, _ := j.snapshot()
 	if state != StateDone {

@@ -6,17 +6,35 @@ import (
 	"additivity/internal/stats"
 )
 
-// DiverseSuite returns the Class A application suite: memory-bound and
-// compute-bound scientific kernels (MKL DGEMM/FFT, NAS-style kernels,
-// HPCG), stress, and non-optimised / non-scientific programs — sixteen
+// diverseCtors builds the Class A application suite, in suite order:
+// memory-bound and compute-bound scientific kernels (MKL DGEMM/FFT,
+// NAS-style kernels, HPCG), stress, and non-optimised /
+// non-scientific programs.
+var diverseCtors = []func() *Kernel{
+	DGEMM, FFT,
+	NASEP, NASCG, NASMG, NASFT, NASLU, NASIS,
+	HPCG, StressCPU, Stream,
+	Quicksort, ZipCompress, MonteCarlo, Transpose, GraphBFS,
+}
+
+// diverseByName indexes diverseCtors by workload name, so a lookup
+// builds only the kernel it returns.
+var diverseByName = func() map[string]func() *Kernel {
+	m := make(map[string]func() *Kernel, len(diverseCtors))
+	for _, ctor := range diverseCtors {
+		m[ctor().Name()] = ctor
+	}
+	return m
+}()
+
+// DiverseSuite returns the Class A application suite: sixteen
 // workloads whose default sizes yield exactly 277 base applications.
 func DiverseSuite() []Workload {
-	return []Workload{
-		DGEMM(), FFT(),
-		NASEP(), NASCG(), NASMG(), NASFT(), NASLU(), NASIS(),
-		HPCG(), StressCPU(), Stream(),
-		Quicksort(), ZipCompress(), MonteCarlo(), Transpose(), GraphBFS(),
+	out := make([]Workload, len(diverseCtors))
+	for i, ctor := range diverseCtors {
+		out[i] = ctor()
 	}
+	return out
 }
 
 // ApplicationSuite returns the Class B/C suite: the two highly optimised
@@ -25,12 +43,12 @@ func ApplicationSuite() []Workload {
 	return []Workload{DGEMM(), FFT()}
 }
 
-// ByName returns the suite workload with the given name.
+// ByName returns the suite workload with the given name. Each call
+// builds a fresh kernel, so a caller may SetPost on it without
+// affecting later lookups.
 func ByName(name string) (Workload, error) {
-	for _, w := range DiverseSuite() {
-		if w.Name() == name {
-			return w, nil
-		}
+	if ctor, ok := diverseByName[name]; ok {
+		return ctor(), nil
 	}
 	return nil, fmt.Errorf("workload: unknown workload %q", name)
 }

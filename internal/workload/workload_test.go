@@ -36,6 +36,50 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameResolvesSuiteFresh holds the lookup contract the catalog
+// index must keep: every DiverseSuite workload resolves by name to the
+// same model the suite builds, and each call returns its own kernel,
+// so a SetPost on one result never reaches the next lookup.
+func TestByNameResolvesSuiteFresh(t *testing.T) {
+	spec := platform.Haswell()
+	for _, want := range DiverseSuite() {
+		name := want.Name()
+		got, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		n := want.DefaultSizes()[0]
+		if got.Name() != name || got.Profile(n, spec) != want.Profile(n, spec) {
+			t.Errorf("ByName(%q) differs from the suite's model", name)
+		}
+		k, ok := got.(*Kernel)
+		if !ok {
+			t.Fatalf("ByName(%q) returned %T, want *Kernel", name, got)
+		}
+		k.SetPost(func(_ float64, _ *platform.Spec, v *activity.Vector) {
+			v.Set(activity.Instructions, -1)
+		})
+		if k.Profile(n, spec) == want.Profile(n, spec) {
+			t.Fatalf("SetPost on %q had no effect; the leak check below would prove nothing", name)
+		}
+		again, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.(*Kernel) == k {
+			t.Errorf("ByName(%q) returned the same *Kernel twice", name)
+		}
+		if again.Profile(n, spec) != want.Profile(n, spec) {
+			t.Errorf("SetPost on one ByName(%q) result leaked into the next", name)
+		}
+	}
+	for _, name := range []string{"", "nope", "MKL-DGEMM", "kmeans"} {
+		if w, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) = %s, want an error", name, w.Name())
+		}
+	}
+}
+
 func TestProfilesNonNegativeEverywhere(t *testing.T) {
 	for _, spec := range platform.Platforms() {
 		for _, w := range DiverseSuite() {
