@@ -550,7 +550,8 @@ func BuildDatasetsCached(cache *MeasurementCache, b *DatasetBuilder, label strin
 type (
 	// ServiceServer is the additivityd daemon core: an http.Handler
 	// serving job submit/poll/result/abort endpoints plus health and
-	// stats probes over the experiment engine.
+	// stats probes over the experiment engine. ServeHTTP is its only
+	// job API; ExecuteJob runs one job directly, without a daemon.
 	ServiceServer = service.Server
 	// ServiceOptions configures a ServiceServer (shared measurement
 	// cache, job-concurrency bound).

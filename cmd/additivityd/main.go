@@ -2,7 +2,9 @@
 // long-running HTTP/JSON server that accepts additivity-check,
 // model-training and dataset-build jobs, runs them on the experiment
 // engine backed by the content-addressed measurement cache, and serves
-// job submit/poll/result endpoints plus health and stats probes.
+// job submit/poll/result endpoints plus health and stats probes. The
+// HTTP surface below is the service's only job API: every client — the
+// load harness, the benchmark, the gate scripts — goes through it.
 //
 // Usage:
 //

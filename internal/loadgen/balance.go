@@ -159,18 +159,13 @@ func (b *leastLoaded) pollOnce(i int) {
 			Queued  int `json:"queued"`
 			Running int `json:"running"`
 		} `json:"jobs"`
-		QueueDepth int `json:"queue_depth"`
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
 		b.setDead(i)
 		return
 	}
-	load := st.Jobs.Queued + st.Jobs.Running
-	if st.QueueDepth > load {
-		load = st.QueueDepth
-	}
 	b.mu.Lock()
-	b.polled[i] = load
+	b.polled[i] = st.Jobs.Queued + st.Jobs.Running
 	b.dead[i] = false
 	b.mu.Unlock()
 }

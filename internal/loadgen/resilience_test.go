@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -402,10 +403,20 @@ func TestPlayResubmitsExpiredJob(t *testing.T) {
 	t.Cleanup(daemon.Close)
 
 	// Settle one job, then enough after it to push it out of the window.
-	req := service.JobRequest{Kind: service.KindPredict}
-	expired := srv.Submit(req)
-	for i := 0; i < srv.Stats().Jobs.RetainLimit; i++ {
-		srv.Submit(req)
+	// The settling submits go straight through ServeHTTP: the network
+	// adds nothing to what they set up.
+	var expired service.JobStatus
+	for i := 0; i <= srv.Stats().Jobs.RetainLimit; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"kind":"predict"}`)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("settling submit %d = HTTP %d %s", i, rec.Code, rec.Body.Bytes())
+		}
+		if i == 0 {
+			if err := json.Unmarshal(rec.Body.Bytes(), &expired); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	resp, err := http.Get(daemon.URL + "/v1/jobs/" + expired.ID)
 	if err != nil {

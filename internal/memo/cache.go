@@ -75,12 +75,6 @@ type Options struct {
 	// Dir, when non-empty, backs the cache with an on-disk store so
 	// entries survive the process and warm-start later runs.
 	Dir string
-	// MaxEntries bounds the in-process LRU (whole cache, all shards
-	// combined). 0 means DefaultMaxEntries; negative means unbounded.
-	MaxEntries int
-	// Shards is the lock-shard count, rounded up to a power of two.
-	// 0 means DefaultShards.
-	Shards int
 	// DiskMaxBytes bounds the on-disk store. When a store pushes the
 	// directory past the budget a compaction pass demotes the warm
 	// generation and evicts cold entries oldest-first (see
@@ -88,12 +82,13 @@ type Options struct {
 	DiskMaxBytes int64
 }
 
-// DefaultMaxEntries bounds the in-process LRU when Options.MaxEntries
-// is zero. A gather unit payload is a few KB, so the default keeps the
-// cache at tens of MB even for large surveys.
+// DefaultMaxEntries bounds the in-process LRU (all shards combined). A
+// gather unit payload is a few KB, so the bound keeps the cache at tens
+// of MB even for large surveys.
 const DefaultMaxEntries = 4096
 
-// DefaultShards is the default lock-shard count.
+// DefaultShards is the lock-shard count, a power of two so shard
+// selection is a mask.
 const DefaultShards = 16
 
 // StatsSnapshot is a point-in-time copy of a cache's counters.
@@ -166,35 +161,6 @@ func (s StatsSnapshot) Requests() uint64 {
 	return s.Hits + s.DiskHits + s.Misses + s.SingleFlightMerges + s.PeerHits
 }
 
-// Add returns the field-wise sum of two snapshots.
-func (s StatsSnapshot) Add(t StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Hits:               s.Hits + t.Hits,
-		DiskHits:           s.DiskHits + t.DiskHits,
-		Misses:             s.Misses + t.Misses,
-		SingleFlightMerges: s.SingleFlightMerges + t.SingleFlightMerges,
-		Stores:             s.Stores + t.Stores,
-		CorruptEntries:     s.CorruptEntries + t.CorruptEntries,
-		Uncacheable:        s.Uncacheable + t.Uncacheable,
-		LeaseMerges:        s.LeaseMerges + t.LeaseMerges,
-		LeaseTakeovers:     s.LeaseTakeovers + t.LeaseTakeovers,
-		LeaseBypasses:      s.LeaseBypasses + t.LeaseBypasses,
-		DuplicateStores:    s.DuplicateStores + t.DuplicateStores,
-		DiskErrors:         s.DiskErrors + t.DiskErrors,
-		BreakerOpens:       s.BreakerOpens + t.BreakerOpens,
-		BreakerSkips:       s.BreakerSkips + t.BreakerSkips,
-		DiskPromotions:     s.DiskPromotions + t.DiskPromotions,
-		DiskDemotions:      s.DiskDemotions + t.DiskDemotions,
-		DiskEvictions:      s.DiskEvictions + t.DiskEvictions,
-		Compactions:        s.Compactions + t.Compactions,
-		PeerHits:           s.PeerHits + t.PeerHits,
-		PeerMisses:         s.PeerMisses + t.PeerMisses,
-		PeerFetchErrors:    s.PeerFetchErrors + t.PeerFetchErrors,
-		PeerHedgesWon:      s.PeerHedgesWon + t.PeerHedgesWon,
-		PeerBreakerTrips:   s.PeerBreakerTrips + t.PeerBreakerTrips,
-	}
-}
-
 // Cache is the in-process layer: a sharded LRU over unit payloads with
 // single-flight deduplication and an optional disk store behind it.
 // All methods are safe for concurrent use; a nil *Cache is valid and
@@ -203,7 +169,7 @@ type Cache struct {
 	shards []shard
 	mask   uint32
 	disk   *DiskStore
-	// maxPerShard bounds each shard's LRU; <0 means unbounded.
+	// maxPerShard bounds each shard's LRU.
 	maxPerShard int
 	// diskMaxBytes bounds the disk store (0: unbounded).
 	diskMaxBytes int64
@@ -254,31 +220,15 @@ type flight struct {
 // New creates a cache. When opts.Dir is non-empty the on-disk store is
 // opened (created if needed) and becomes the second lookup layer.
 func New(opts Options) (*Cache, error) {
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
+	c := &Cache{
+		shards:      make([]shard, DefaultShards),
+		mask:        DefaultShards - 1,
+		maxPerShard: DefaultMaxEntries / DefaultShards,
 	}
-	// Round up to a power of two so shard selection is a mask.
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	c := &Cache{shards: make([]shard, pow), mask: uint32(pow - 1)}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[Key]*list.Element)
 		c.shards[i].order = list.New()
 		c.shards[i].inflight = make(map[Key]*flight)
-	}
-	switch {
-	case opts.MaxEntries == 0:
-		c.maxPerShard = (DefaultMaxEntries + pow - 1) / pow
-	case opts.MaxEntries < 0:
-		c.maxPerShard = -1
-	default:
-		c.maxPerShard = (opts.MaxEntries + pow - 1) / pow
-		if c.maxPerShard < 1 {
-			c.maxPerShard = 1
-		}
 	}
 	if opts.Dir != "" {
 		disk, err := OpenDiskStore(opts.Dir)
@@ -586,12 +536,10 @@ func (c *Cache) retain(key Key, s *shard, payload []byte) {
 		return
 	}
 	s.entries[key] = s.order.PushFront(&entry{key: key, payload: payload})
-	if c.maxPerShard >= 0 {
-		for s.order.Len() > c.maxPerShard {
-			back := s.order.Back()
-			s.order.Remove(back)
-			delete(s.entries, back.Value.(*entry).key)
-		}
+	for s.order.Len() > c.maxPerShard {
+		back := s.order.Back()
+		s.order.Remove(back)
+		delete(s.entries, back.Value.(*entry).key)
 	}
 }
 

@@ -12,62 +12,63 @@ import (
 	"additivity/internal/memo"
 )
 
-// TestFastJobKeyMatchesJobKey holds the digest equivalence the warm
-// fast path rests on: the pooled-scratch key builder must produce the
-// same cache key as the allocation-per-call JobKey for every kind, or
-// warm submissions would miss entries written by the slow path.
-func TestFastJobKeyMatchesJobKey(t *testing.T) {
-	reqs := []JobRequest{
-		{Kind: KindCheck},
-		{Kind: KindCheck, Params: JobParams{Platform: "skylake", Compounds: 2, Seed: 7}},
-		{Kind: KindTrain, Params: JobParams{Model: "rf"}},
-		{Kind: KindDataset, Params: JobParams{SweepLo: 7000, SweepHi: 7500}},
-		{Kind: KindPredict},
-		{Kind: KindPredict, Params: JobParams{Tier: "trained", App: "mkl-fft"}},
-	}
-	for _, req := range reqs {
-		if err := req.Normalize(); err != nil {
-			t.Fatalf("normalize %v: %v", req.Kind, err)
-		}
-		want, err := JobKey(req)
+// pinnedKeys are JobKey digests of one request of each kind. Job
+// entries written to a -cache-dir are stored under these digests, so a
+// change to them would turn every entry an earlier daemon wrote into a
+// miss. They change only with jobKeySchema.
+var pinnedKeys = []struct {
+	req JobRequest
+	hex string
+}{
+	{JobRequest{Kind: KindCheck}, "81cf2fc92b24a4bf86973b73f869739f7fb70a9a6baa3cd76ae99daf2f5811cc"},
+	{JobRequest{Kind: KindCheck, Params: JobParams{Platform: "skylake", Compounds: 2, Seed: 7}}, "ef8bb458635edab874c6cea4da4bf5098d64a29f33ee0cf757593151af14ed9a"},
+	{JobRequest{Kind: KindTrain, Params: JobParams{Model: "rf"}}, "00fd4b55a5473c0c22f4e2f3b3a56d1141b8d72b5aeb335b7284e7495c41e5eb"},
+	{JobRequest{Kind: KindDataset, Params: JobParams{SweepLo: 7000, SweepHi: 7500}}, "6c03b305ef89d442910907077ec35cf86e4a1336b41de2821f1a012d26e51882"},
+	{JobRequest{Kind: KindPredict}, "9bff4928f5ca1b3b7ba1fe176c18b01efc948c8799d661beae8cc122bfae18de"},
+	{JobRequest{Kind: KindPredict, Params: JobParams{Tier: "trained", App: "mkl-fft"}}, "14101a112c137a76346cdfcffbc6fbf42eb6bbc12cf38a7cdc892d6ba535c0e3"},
+}
+
+// TestJobKeyDigestsPinned holds the job-key digests fixed, so warm
+// submissions keep hitting entries stored by earlier daemons.
+func TestJobKeyDigestsPinned(t *testing.T) {
+	for _, p := range pinnedKeys {
+		key, err := JobKey(p.req)
 		if err != nil {
-			t.Fatalf("JobKey: %v", err)
+			t.Fatalf("JobKey(%s): %v", p.req.Kind, err)
 		}
-		ks := keyPool.Get().(*keyScratch)
-		got, err := fastJobKey(ks, &req)
-		keyPool.Put(ks)
-		if err != nil {
-			t.Fatalf("fastJobKey: %v", err)
-		}
-		if got != want {
-			t.Errorf("fastJobKey(%s) != JobKey: %x vs %x", req.Kind, got, want)
+		if key.Hex() != p.hex {
+			t.Errorf("JobKey(%s %+v) = %s, want %s", p.req.Kind, p.req.Params, key.Hex(), p.hex)
 		}
 	}
 }
 
-// TestFastJobKeyScratchReuse reuses one scratch across different
-// requests: stale buffer or key-builder state from a previous request
-// must never leak into the next digest.
+// TestFastJobKeyScratchReuse keys different requests back to back on
+// normalizedKey's pooled scratch: stale buffer or key-builder state
+// from a previous request must never leak into the next digest.
 func TestFastJobKeyScratchReuse(t *testing.T) {
-	ks := keyPool.Get().(*keyScratch)
-	defer keyPool.Put(ks)
 	long := JobRequest{Kind: KindCheck, Params: JobParams{PMCs: []string{
 		"UOPS_EXECUTED_CORE", "FP_ARITH_INST_RETIRED_DOUBLE", "MEM_LOAD_RETIRED_L3_MISS"}}}
-	short := JobRequest{Kind: KindPredict}
-	for _, req := range []JobRequest{long, short, long} {
-		if err := req.Normalize(); err != nil {
-			t.Fatal(err)
-		}
-		want, err := JobKey(req)
+	short := pinnedKeys[4] // the default predict
+	if err := long.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := short.req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := normalizedKey(&long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := normalizedKey(&short.req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fastJobKey(ks, &req)
-		if err != nil {
-			t.Fatal(err)
+		if got.Hex() != short.hex {
+			t.Fatalf("short key after a long one = %s, want %s", got.Hex(), short.hex)
 		}
-		if got != want {
-			t.Fatalf("reused scratch diverged on %s", req.Kind)
+		if again, err := normalizedKey(&long); err != nil || again != first {
+			t.Fatalf("long key after a short one diverged: %v", err)
 		}
 	}
 }
@@ -287,13 +288,13 @@ func TestWarmLookupZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(Options{Cache: cache})
+	// Prime the cache through the ordinary submit path.
+	if _, err := settleFast(srv); err != nil {
+		t.Fatalf("prime: %v", err)
+	}
 	req := JobRequest{Kind: KindPredict}
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
-	}
-	// Prime the cache through the ordinary submit path.
-	if st := srv.Submit(req); st.State != StateDone {
-		t.Fatalf("prime submit = %+v", st)
 	}
 	lookup := func() bool {
 		key, err := normalizedKey(&req)
@@ -400,9 +401,9 @@ func TestSubmitHandlerAllocBudgets(t *testing.T) {
 		budget float64
 		body   func(i int) []byte
 	}{
-		{"warm-check", 26, func(int) []byte { return check }},
-		{"warm-predict", 27, func(int) []byte { return predict }},
-		{"fresh-predict", 41, func(i int) []byte { return fresh[i] }},
+		{"warm-check", 24, func(int) []byte { return check }},
+		{"warm-predict", 25, func(int) []byte { return predict }},
+		{"fresh-predict", 39, func(i int) []byte { return fresh[i] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := handlerAllocs(t, runs, tc.body); got > tc.budget {

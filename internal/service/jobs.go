@@ -291,38 +291,19 @@ const jobKeySchema = "additivityd-job/v1"
 // cache identity. Execute is a pure function of the normalised request,
 // so the canonical JSON captures everything the payload depends on.
 func JobKey(req JobRequest) (memo.Key, error) {
-	c, err := CanonicalRequest(req)
-	if err != nil {
+	if err := req.Normalize(); err != nil {
 		return memo.Key{}, err
 	}
-	kb := memo.NewKeyBuilder(jobKeySchema)
-	kb.Field("request", c)
-	return kb.Key(), nil
+	return normalizedKey(&req)
 }
 
-// executeCached resolves a whole normalised job through the cache's
-// single-flight: concurrent duplicates block on the leader and share
-// its payload; later duplicates are served without touching the
-// engine. Payloads produced on degraded data are returned but never
-// retained. The returned report is nil when the payload came from the
-// cache — a served payload implies no fresh faults to account.
-func executeCached(ctx context.Context, cache *memo.Cache, req JobRequest, h hooks) ([]byte, *core.CheckReport, error) {
-	var key memo.Key
-	if cache != nil {
-		var err error
-		if key, err = normalizedKey(&req); err != nil {
-			return nil, nil, err
-		}
-	}
-	return executeKeyed(ctx, cache, req, key, h)
-}
-
-// executeKeyed is executeCached for a caller that already holds the
-// request's job key (ignored when cache is nil).
+// executeKeyed resolves a whole normalised job, keyed by its job key,
+// through the cache's single-flight: concurrent duplicates block on the
+// leader and share its payload; later duplicates are served without
+// touching the engine. Payloads produced on degraded data are returned
+// but never retained. The returned report is nil when the payload came
+// from the cache — a served payload implies no fresh faults to account.
 func executeKeyed(ctx context.Context, cache *memo.Cache, req JobRequest, key memo.Key, h hooks) ([]byte, *core.CheckReport, error) {
-	if cache == nil {
-		return execute(ctx, cache, req, h)
-	}
 	for {
 		var report *core.CheckReport
 		payload, _, err := cache.GetOrCompute(key, func() ([]byte, bool, error) {

@@ -2,16 +2,14 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // httpAnswer sends one request and returns its status code and body.
@@ -53,17 +51,37 @@ func wantAnswerOnEveryEndpoint(t *testing.T, ts *httptest.Server, id string, sta
 	}
 }
 
-// settleFastJobs settles n jobs on the fast path in-process (warm
-// analytic-predict hits after the first) and returns their ids.
+// serve sends one request straight through srv.ServeHTTP, skipping the
+// network, and returns the recorded response.
+func serve(srv *Server, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec
+}
+
+// settleFast submits one analytic predict through srv.ServeHTTP (a
+// warm hit after the first) and returns its id, or an error when the
+// submit does not come back done. It is safe to call from any
+// goroutine.
+func settleFast(srv *Server) (string, error) {
+	rec := serve(srv, http.MethodPost, "/v1/jobs", `{"kind":"predict"}`)
+	var st JobStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusAccepted || st.State != StateDone {
+		return "", fmt.Errorf("fast submit = HTTP %d %s, want 202 done", rec.Code, rec.Body.Bytes())
+	}
+	return st.ID, nil
+}
+
+// settleFastJobs settles n jobs on the fast path and returns their ids.
 func settleFastJobs(t *testing.T, srv *Server, n int) []string {
 	t.Helper()
 	ids := make([]string, n)
 	for i := range ids {
-		st := srv.Submit(JobRequest{Kind: KindPredict})
-		if st.State != StateDone {
-			t.Fatalf("fast submit %d = %+v, want done", i, st)
+		id, err := settleFast(srv)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
-		ids[i] = st.ID
+		ids[i] = id
 	}
 	return ids
 }
@@ -169,50 +187,6 @@ func assertListed(t *testing.T, ts *httptest.Server, want []string) {
 	}
 }
 
-// TestInProcessRetention: Submit, WaitJob, JobResult and Abort follow
-// the same retention contract as the HTTP surface, with typed errors.
-func TestInProcessRetention(t *testing.T) {
-	srv := NewServer(Options{})
-	ids := settleFastJobs(t, srv, retainSettled+1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	if _, err := srv.WaitJob(ctx, ids[0]); !errors.Is(err, ErrExpired) {
-		t.Errorf("WaitJob(expired) err = %v, want ErrExpired", err)
-	}
-	if _, err := srv.JobResult(ids[0]); !errors.Is(err, ErrExpired) {
-		t.Errorf("JobResult(expired) err = %v, want ErrExpired", err)
-	}
-	if srv.Abort(ids[0]) {
-		t.Error("Abort(expired) reported the job as retained")
-	}
-	for _, id := range []string{"job-999999999", "job-0", "nope"} {
-		if _, err := srv.WaitJob(ctx, id); !errors.Is(err, ErrUnknownJob) {
-			t.Errorf("WaitJob(%s) err = %v, want ErrUnknownJob", id, err)
-		}
-		if _, err := srv.JobResult(id); !errors.Is(err, ErrUnknownJob) {
-			t.Errorf("JobResult(%s) err = %v, want ErrUnknownJob", id, err)
-		}
-	}
-	if st, err := srv.WaitJob(ctx, ids[1]); err != nil || st.State != StateDone {
-		t.Errorf("WaitJob(retained) = %+v, %v", st, err)
-	}
-	if payload, err := srv.JobResult(ids[1]); err != nil || len(payload) == 0 {
-		t.Errorf("JobResult(retained) = %q, %v", payload, err)
-	}
-
-	// A request Normalize rejects settles at once as a failed job, and
-	// ages out like any other.
-	bad := srv.Submit(JobRequest{Kind: "bogus"})
-	if bad.State != StateFailed || bad.Error == "" {
-		t.Fatalf("invalid Submit = %+v, want failed with an error", bad)
-	}
-	settleFastJobs(t, srv, retainSettled)
-	if _, err := srv.JobResult(bad.ID); !errors.Is(err, ErrExpired) {
-		t.Errorf("JobResult(expired failed job) err = %v, want ErrExpired", err)
-	}
-}
-
 // TestConcurrentSettlesKeepTheBound settles jobs from several
 // goroutines at once while another reads /statsz and the job list: the
 // table must never exceed the bound and must end holding exactly
@@ -246,8 +220,8 @@ func TestConcurrentSettlesKeepTheBound(t *testing.T) {
 		go func() {
 			defer settlers.Done()
 			for i := 0; i < each; i++ {
-				if st := srv.Submit(JobRequest{Kind: KindPredict}); st.State != StateDone {
-					t.Errorf("fast submit = %+v, want done", st)
+				if _, err := settleFast(srv); err != nil {
+					t.Error(err)
 					return
 				}
 			}
@@ -263,12 +237,12 @@ func TestConcurrentSettlesKeepTheBound(t *testing.T) {
 	}
 	expired := 0
 	for seq := 1; seq <= total; seq++ {
-		_, err := srv.lookup(fmt.Sprintf("job-%d", seq))
-		switch {
-		case errors.Is(err, ErrExpired):
+		switch rec := serve(srv, http.MethodGet, fmt.Sprintf("/v1/jobs/job-%d", seq), ""); rec.Code {
+		case http.StatusGone:
 			expired++
-		case err != nil:
-			t.Fatalf("job-%d: lookup err = %v, want retained or expired", seq, err)
+		case http.StatusOK:
+		default:
+			t.Fatalf("job-%d: poll = HTTP %d %s, want 200 or 410", seq, rec.Code, rec.Body.Bytes())
 		}
 	}
 	if expired != total-retainSettled {

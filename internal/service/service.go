@@ -41,9 +41,9 @@ func (s JobState) Terminal() bool {
 
 // Options configures a Server.
 type Options struct {
-	// Cache, when non-nil, backs every job with the shared
-	// content-addressed measurement cache — the layer that makes
-	// duplicate jobs cheap and concurrent duplicates single-flight.
+	// Cache backs every job with the shared content-addressed
+	// measurement cache — the layer that makes duplicate jobs cheap and
+	// concurrent duplicates single-flight. Nil: a memory-only cache.
 	Cache *memo.Cache
 	// MaxConcurrentJobs bounds how many jobs run at once (queued jobs
 	// wait). Zero or negative: GOMAXPROCS.
@@ -77,15 +77,6 @@ const maxWait = 30 * time.Second
 // still cached.
 const retainSettled = 4096
 
-var (
-	// ErrUnknownJob means the server never issued the job id.
-	ErrUnknownJob = errors.New("unknown job")
-	// ErrExpired means the job settled and has since left the window
-	// of the last retainSettled settled jobs; resubmitting the request
-	// gets a new id (and, usually, a cache hit).
-	ErrExpired = errors.New("job expired")
-)
-
 // Progress is a job's gather fan-out position.
 type Progress struct {
 	Done  int `json:"done"`
@@ -97,7 +88,9 @@ type job struct {
 	id   string
 	seq  uint64 // the N of id "job-N", issued in submission order
 	kind JobKind
-	req  JobRequest // pooled jobs only: what run executes
+	// req and key are what run executes: pooled jobs only.
+	req JobRequest
+	key memo.Key
 
 	cancel context.CancelFunc
 	doneCh chan struct{}
@@ -108,12 +101,6 @@ type job struct {
 	progress Progress
 	result   []byte
 	degraded bool
-}
-
-func (j *job) snapshot() (JobState, string, Progress) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.errMsg, j.progress
 }
 
 // JobStatus is the poll-endpoint view of a job.
@@ -150,11 +137,18 @@ func attachResult(j *job, st *JobStatus) {
 	j.mu.Unlock()
 }
 
+// The constant pieces of a status response with an inline result.
+var (
+	resultKey  = []byte(`,"result":`)
+	statusTail = []byte("}\n")
+)
+
 // writeStatus writes a status response. An inline result is spliced
 // into the JSON verbatim: the payload is already canonical JSON, and
 // pushing it back through the generic encoder would re-compact every
 // byte — measurably dominating the single-round-trip fast path on
-// large check results.
+// large check results. The frame, key, payload and tail go out as
+// separate writes, so the payload is never copied.
 func writeStatus(w http.ResponseWriter, status int, st JobStatus) {
 	if st.Result == nil {
 		writeJSON(w, status, st)
@@ -167,19 +161,19 @@ func writeStatus(w http.ResponseWriter, status int, st JobStatus) {
 		writeError(w, http.StatusInternalServerError, "encoding_failed", err.Error())
 		return
 	}
-	const key = `,"result":`
-	buf := make([]byte, 0, len(frame)+len(key)+len(payload)+2)
-	buf = append(buf, frame[:len(frame)-1]...)
-	buf = append(buf, key...)
-	buf = append(buf, payload...)
-	buf = append(buf, '}', '\n')
+	frame = frame[:len(frame)-1] // reopen the object for the result member
 	w.Header().Set("Content-Type", "application/json")
 	// An explicit length keeps the response out of chunked transfer
 	// encoding — chunk framing costs both sides of the fast path real
 	// CPU on bodies this size.
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	n := len(frame) + len(resultKey) + len(payload) + len(statusTail)
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf)
+	for _, b := range [][]byte{frame, resultKey, payload, statusTail} {
+		if _, err := w.Write(b); err != nil {
+			return
+		}
+	}
 }
 
 // FaultStats aggregates the resilience accounting of every completed
@@ -208,7 +202,8 @@ type JobCounters struct {
 
 // Stats is the /statsz payload. Every counter in it is monotone over
 // the server's lifetime except the Queued/Running/Retained/QueueDepth
-// gauges and the Draining/Degraded/Breaker states.
+// gauges and the Draining/Degraded/Breaker states. QueueDepth repeats
+// Jobs.Queued, the gauge admission control bounds.
 type Stats struct {
 	Jobs         JobCounters         `json:"jobs"`
 	HTTPRequests uint64              `json:"http_requests"`
@@ -229,15 +224,15 @@ type Stats struct {
 }
 
 // Server is the additivityd daemon core: an http.Handler exposing the
-// job API over a bounded job-execution pool. Create with NewServer.
+// job API over a bounded job-execution pool. ServeHTTP is the only way
+// to submit, poll, fetch or abort a job. Create with NewServer.
 type Server struct {
 	opts Options
 	mux  *http.ServeMux
 	sem  chan struct{}
-	// queueLimit is the resolved accept-queue bound (-1: unbounded);
-	// queueDepth is the live count of admitted-but-not-running jobs.
+	// queueLimit is the resolved accept-queue bound (-1: unbounded) on
+	// jobsQueued, the live count of admitted-but-not-running jobs.
 	queueLimit int
-	queueDepth atomic.Int64
 
 	// mu guards the job table. jobs maps a job's seq to the job and
 	// holds every pooled job still in flight plus the settled jobs the
@@ -283,6 +278,10 @@ type Server struct {
 // retainSettled settles after its own. Past that its id answers 410
 // "expired"; an id the server never issued answers 404 "unknown_job".
 func NewServer(opts Options) *Server {
+	if opts.Cache == nil {
+		// A cache without a directory opens nothing, so it cannot fail.
+		opts.Cache, _ = memo.New(memo.Options{})
+	}
 	n := opts.MaxConcurrentJobs
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -376,10 +375,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // (new submissions are being shed). The reason names the first
 // impairment found.
 func (s *Server) Degraded() (bool, string) {
-	if s.opts.Cache != nil && s.opts.Cache.BreakerState() == memo.BreakerOpen {
+	if s.opts.Cache.BreakerState() == memo.BreakerOpen {
 		return true, "cache disk breaker open"
 	}
-	if s.queueLimit >= 0 && s.queueDepth.Load() >= int64(s.queueLimit) {
+	if s.queueLimit >= 0 && s.jobsQueued.Load() >= int64(s.queueLimit) {
 		return true, "job queue saturated"
 	}
 	return false, ""
@@ -417,10 +416,8 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	st.Jobs.RetainLimit = retainSettled
 	st.HTTPRequests = s.httpRequests.Load()
-	if s.opts.Cache != nil {
-		cs := s.opts.Cache.Stats()
-		st.Cache = &cs
-	}
+	cs := s.opts.Cache.Stats()
+	st.Cache = &cs
 	st.Faults = FaultStats{
 		Retries:      s.faultRetries.Load(),
 		Recovered:    s.faultRecov.Load(),
@@ -429,11 +426,9 @@ func (s *Server) Stats() Stats {
 	st.Draining = s.draining.Load()
 	st.Shed = s.jobsShed.Load()
 	st.DeadlineExceeded = s.deadlineExceeded.Load()
-	st.QueueDepth = int(s.queueDepth.Load())
+	st.QueueDepth = int(st.Jobs.Queued)
 	st.QueueLimit = s.queueLimit
-	if s.opts.Cache != nil {
-		st.Breaker = string(s.opts.Cache.BreakerState())
-	}
+	st.Breaker = string(s.opts.Cache.BreakerState())
 	st.Degraded, _ = s.Degraded()
 	return st
 }
@@ -457,15 +452,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	var wait time.Duration
-	if waitStr := q.Get("wait"); waitStr != "" {
-		d, err := time.ParseDuration(waitStr)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, "invalid_request",
-				"wait must be a non-negative duration, got "+waitStr)
-			return
-		}
-		wait = d
+	wait, ok := parseWait(w, q)
+	if !ok {
+		return
 	}
 	timeout := s.opts.DefaultJobTimeout
 	if toStr := q.Get("timeout"); toStr != "" {
@@ -477,8 +466,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = d
 	}
+	key, err := normalizedKey(&req)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding_failed", err.Error())
+		return
+	}
 	var st JobStatus
-	j, fast := s.submitFast(r.Context(), req)
+	j, fast := s.submitFast(r.Context(), req, key)
 	if fast {
 		st = s.status(j)
 	} else {
@@ -492,19 +486,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("accept queue is full (%d jobs queued); retry later", s.queueLimit))
 			return
 		}
-		j, st = s.startPooled(req, timeout)
+		j, st = s.startPooled(req, key, timeout)
 	}
 	if wait > 0 && !st.State.Terminal() {
-		if wait > maxWait {
-			wait = maxWait
-		}
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case <-j.doneCh:
-		case <-timer.C:
-		case <-r.Context().Done():
-		}
+		await(r, j, wait)
 		st = s.status(j)
 	}
 	if wantResult(q) {
@@ -530,11 +515,14 @@ var keyPool = sync.Pool{New: func() any {
 	return ks
 }}
 
-// fastJobKey digests an already-normalised request on pooled scratch.
-// Encode emits exactly json.Marshal's bytes plus one trailing newline,
-// which is trimmed before framing, so the digest is bit-identical to
-// JobKey's (TestFastJobKeyMatchesJobKey holds the equivalence).
-func fastJobKey(ks *keyScratch, req *JobRequest) (memo.Key, error) {
+// normalizedKey is JobKey for an already-normalised request, built on
+// pooled scratch: in steady state it allocates nothing. Encode emits
+// exactly json.Marshal's bytes plus one trailing newline, which is
+// trimmed before framing, so the digest is that of the request's
+// canonical JSON (TestJobKeyDigestsPinned holds it fixed).
+func normalizedKey(req *JobRequest) (memo.Key, error) {
+	ks := keyPool.Get().(*keyScratch)
+	defer keyPool.Put(ks)
 	ks.buf.Reset()
 	if err := ks.enc.Encode(req); err != nil {
 		return memo.Key{}, err
@@ -543,15 +531,6 @@ func fastJobKey(ks *keyScratch, req *JobRequest) (memo.Key, error) {
 	ks.kb.Reset(jobKeySchema)
 	ks.kb.FieldBytes("request", b[:len(b)-1])
 	return ks.kb.Key(), nil
-}
-
-// normalizedKey is JobKey for an already-normalised request, built on
-// pooled scratch: in steady state it allocates nothing.
-func normalizedKey(req *JobRequest) (memo.Key, error) {
-	ks := keyPool.Get().(*keyScratch)
-	key, err := fastJobKey(ks, req)
-	keyPool.Put(ks)
-	return key, err
 }
 
 // closedCh is the shared pre-closed done channel of jobs born terminal.
@@ -566,22 +545,14 @@ func noopCancel() {}
 // submitFast settles a normalised job synchronously when no engine
 // work is needed: a warm job-cache hit is served straight from memory,
 // and an analytic-tier predict is answered in closed form from the
-// catalog parameters. The request is keyed once, and the key serves
-// both the warm lookup and the cached compute. The job still gets an
-// id and serves its result like any pooled job while it stays in the
-// retention window — it is simply born terminal, so the submit
-// response is already final and clients can skip the poll loop
-// entirely.
-func (s *Server) submitFast(ctx context.Context, req JobRequest) (*job, bool) {
-	var key memo.Key
-	if s.opts.Cache != nil {
-		var err error
-		if key, err = normalizedKey(&req); err != nil {
-			return s.settleFast(req.Kind, nil, err), true
-		}
-		if payload, hit := s.opts.Cache.Lookup(key); hit {
-			return s.settleFast(req.Kind, payload, nil), true
-		}
+// catalog parameters. key, the request's job key, serves both the warm
+// lookup and the cached compute. The job still gets an id and serves
+// its result like any pooled job while it stays in the retention
+// window — it is simply born terminal, so the submit response is
+// already final and clients can skip the poll loop entirely.
+func (s *Server) submitFast(ctx context.Context, req JobRequest, key memo.Key) (*job, bool) {
+	if payload, hit := s.opts.Cache.Lookup(key); hit {
+		return s.settleFast(req.Kind, payload, nil), true
 	}
 	if req.Kind != KindPredict || req.Params.Tier != "analytic" {
 		return nil, false
@@ -629,52 +600,31 @@ func (s *Server) retainLocked(seq uint64) {
 	s.settledNext = (s.settledNext + 1) % retainSettled
 }
 
-// Submit normalises a job request, enqueues it and returns its initial
-// status. A request that fails Normalize settles at once as a failed
-// job. Jobs the server can settle without engine work — warm job-cache
-// hits and analytic predictions — return an already-terminal status
-// instead of queueing. Direct submission is never shed: admission
-// control applies to the HTTP surface, where a caller can be told to
-// retry.
-func (s *Server) Submit(req JobRequest) JobStatus {
-	if err := req.Normalize(); err != nil {
-		return s.status(s.settleFast(req.Kind, nil, err))
-	}
-	// Direct in-process submission has no inbound request whose
-	// cancellation could scope the fast path's inline work.
-	//lint:ignore ctxflow direct in-process submission has no request context to thread; the fast path is bounded catalog arithmetic
-	if j, ok := s.submitFast(context.Background(), req); ok {
-		return s.status(j)
-	}
-	s.queueDepth.Add(1)
-	_, st := s.startPooled(req, s.opts.DefaultJobTimeout)
-	return st
-}
-
 // reserveQueueSlot claims one accept-queue slot, failing when the
 // queue is at its bound. The CAS loop keeps the bound exact under
 // concurrent submissions.
 func (s *Server) reserveQueueSlot() bool {
 	if s.queueLimit < 0 {
-		s.queueDepth.Add(1)
+		s.jobsQueued.Add(1)
 		return true
 	}
 	for {
-		d := s.queueDepth.Load()
+		d := s.jobsQueued.Load()
 		if d >= int64(s.queueLimit) {
 			return false
 		}
-		if s.queueDepth.CompareAndSwap(d, d+1) {
+		if s.jobsQueued.CompareAndSwap(d, d+1) {
 			return true
 		}
 	}
 }
 
 // startPooled creates a pooled job whose accept-queue slot is already
-// reserved, applying the given deadline (0: none) to its whole
-// lifetime — queue wait included, so a saturated pool cannot park a
-// deadlined job forever. It returns the job and its queued status.
-func (s *Server) startPooled(req JobRequest, timeout time.Duration) (*job, JobStatus) {
+// reserved (counted in jobsQueued), applying the given deadline (0:
+// none) to its whole lifetime — queue wait included, so a saturated
+// pool cannot park a deadlined job forever. It returns the job and its
+// queued status.
+func (s *Server) startPooled(req JobRequest, key memo.Key, timeout time.Duration) (*job, JobStatus) {
 	seq := s.nextID.Add(1)
 	// A pooled job deliberately outlives the submitting request: the
 	// client may disconnect and poll for the result later, so the job
@@ -691,11 +641,10 @@ func (s *Server) startPooled(req JobRequest, timeout time.Duration) (*job, JobSt
 	}
 	j := &job{
 		id: "job-" + strconv.FormatUint(seq, 10), seq: seq,
-		kind: req.Kind, req: req,
+		kind: req.Kind, req: req, key: key,
 		cancel: cancel, doneCh: make(chan struct{}),
 		state: StateQueued,
 	}
-	s.jobsQueued.Add(1)
 	// In flight, the job sits in the table outside the settled ring,
 	// so no number of later settles can evict it.
 	s.mu.Lock()
@@ -715,10 +664,8 @@ func (s *Server) run(ctx context.Context, j *job) {
 	defer j.cancel() // release the deadline timer once settled
 	select {
 	case s.sem <- struct{}{}:
-		s.queueDepth.Add(-1)
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
-		s.queueDepth.Add(-1)
 		s.finish(j, nil, nil, ctx.Err())
 		return
 	}
@@ -731,7 +678,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 	s.jobsQueued.Add(-1)
 	s.jobsRunning.Add(1)
 	j.mu.Unlock()
-	payload, report, err := executeCached(ctx, s.opts.Cache, j.req, hooks{
+	payload, report, err := executeKeyed(ctx, s.opts.Cache, j.req, j.key, hooks{
 		progress: func(done, total int) {
 			j.mu.Lock()
 			j.progress = Progress{Done: done, Total: total}
@@ -746,6 +693,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 // ring.
 func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err error) {
 	deadlined := err != nil && errors.Is(err, context.DeadlineExceeded)
+	degraded := report != nil && report.Degraded()
 	j.mu.Lock()
 	// The queued/running gauges move with the state they count, under
 	// the same lock.
@@ -757,12 +705,17 @@ func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err er
 	// Each terminal state charges its counter in the arm that sets it,
 	// so the state a poller observes and the counter /statsz reports
 	// can never drift apart. The counters are atomics: bumping them
-	// under j.mu blocks nobody.
+	// under j.mu blocks nobody. The degraded flag is published with the
+	// done state, so no poll sees a degraded job as a clean done.
 	switch {
 	case err == nil:
 		j.state = StateDone
 		j.result = payload
+		j.degraded = degraded
 		s.jobsDone.Add(1)
+		if degraded {
+			s.degradedJobs.Add(1)
+		}
 	case deadlined:
 		j.state = StateAborted
 		j.errMsg = "job deadline exceeded"
@@ -781,12 +734,6 @@ func (s *Server) finish(j *job, payload []byte, report *core.CheckReport, err er
 	if report != nil {
 		s.faultRetries.Add(report.Retries)
 		s.faultRecov.Add(report.Recovered)
-		if report.Degraded() {
-			s.degradedJobs.Add(1)
-			j.mu.Lock()
-			j.degraded = true
-			j.mu.Unlock()
-		}
 	}
 	s.mu.Lock()
 	s.retainLocked(j.seq)
@@ -803,39 +750,56 @@ func parseJobID(id string) (uint64, bool) {
 	return seq, err == nil
 }
 
-// lookup resolves a job id. An id this server issued but no longer
-// retains fails with ErrExpired; any other unknown id with
-// ErrUnknownJob.
-func (s *Server) lookup(id string) (*job, error) {
-	seq, ok := parseJobID(id)
-	if ok {
+// parseWait reads a request's optional ?wait= long-poll bound, capped
+// at maxWait. A malformed value answers 400 invalid_request.
+func parseWait(w http.ResponseWriter, q url.Values) (time.Duration, bool) {
+	v := q.Get("wait")
+	if v == "" {
+		return 0, true
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		writeError(w, http.StatusBadRequest, "invalid_request",
+			"wait must be a non-negative duration, got "+v)
+		return 0, false
+	}
+	return min(d, maxWait), true
+}
+
+// await blocks until the job settles, wait elapses or the request is
+// cancelled. A zero wait returns at once.
+func await(r *http.Request, j *job, wait time.Duration) {
+	if wait <= 0 {
+		return
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-j.doneCh:
+	case <-timer.C:
+	case <-r.Context().Done():
+	}
+}
+
+// lookupHTTP resolves the request's {id}. An id this server issued but
+// no longer retains answers 410 expired; any other unknown id answers
+// 404 unknown_job.
+func (s *Server) lookupHTTP(w http.ResponseWriter, r *http.Request) (*job, bool) {
+	id := r.PathValue("id")
+	if seq, ok := parseJobID(id); ok {
 		s.mu.Lock()
 		j := s.jobs[seq]
 		s.mu.Unlock()
 		if j != nil {
-			return j, nil
+			return j, true
 		}
 		if seq <= s.nextID.Load() {
-			return nil, fmt.Errorf("service: job %s: %w", id, ErrExpired)
+			writeError(w, http.StatusGone, "expired",
+				fmt.Sprintf("job %s settled and left the window of the last %d settled jobs; resubmit the request", id, retainSettled))
+			return nil, false
 		}
 	}
-	return nil, fmt.Errorf("service: no job %s: %w", id, ErrUnknownJob)
-}
-
-// lookupHTTP resolves the request's {id}, answering 410 expired or 404
-// unknown_job itself when the job is not retained.
-func (s *Server) lookupHTTP(w http.ResponseWriter, r *http.Request) (*job, bool) {
-	id := r.PathValue("id")
-	j, err := s.lookup(id)
-	switch {
-	case err == nil:
-		return j, true
-	case errors.Is(err, ErrExpired):
-		writeError(w, http.StatusGone, "expired",
-			fmt.Sprintf("job %s settled and left the window of the last %d settled jobs; resubmit the request", id, retainSettled))
-	default:
-		writeError(w, http.StatusNotFound, "unknown_job", "no job "+id)
-	}
+	writeError(w, http.StatusNotFound, "unknown_job", "no job "+id)
 	return nil, false
 }
 
@@ -879,24 +843,11 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	if waitStr := q.Get("wait"); waitStr != "" {
-		d, err := time.ParseDuration(waitStr)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, "invalid_request",
-				"wait must be a non-negative duration, got "+waitStr)
-			return
-		}
-		if d > maxWait {
-			d = maxWait
-		}
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-j.doneCh:
-		case <-timer.C:
-		case <-r.Context().Done():
-		}
+	wait, ok := parseWait(w, q)
+	if !ok {
+		return
 	}
+	await(r, j, wait)
 	st := s.status(j)
 	if wantResult(q) {
 		attachResult(j, &st)
@@ -909,12 +860,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	state, errMsg, _ := j.snapshot()
+	j.mu.Lock()
+	state, errMsg, result := j.state, j.errMsg, j.result
+	j.mu.Unlock()
 	switch state {
 	case StateDone:
-		j.mu.Lock()
-		result := j.result
-		j.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(len(result)))
 		w.WriteHeader(http.StatusOK)
@@ -936,18 +886,6 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 	}
 	j.cancel()
 	writeJSON(w, http.StatusOK, s.status(j))
-}
-
-// Abort cancels a job by id (the DELETE endpoint's direct form).
-// Aborting a terminal job is a no-op; the return reports whether the
-// job is retained.
-func (s *Server) Abort(id string) bool {
-	j, err := s.lookup(id)
-	if err != nil {
-		return false
-	}
-	j.cancel()
-	return true
 }
 
 // StartDraining flips the server into drain mode: new submissions are
@@ -978,39 +916,4 @@ func (s *Server) AbortAll() {
 	for _, j := range s.retained() {
 		j.cancel()
 	}
-}
-
-// WaitJob blocks until the job settles or ctx expires, returning its
-// final status. Used by in-process callers (tests, the facade). An id
-// that is not retained fails with ErrExpired or ErrUnknownJob.
-func (s *Server) WaitJob(ctx context.Context, id string) (JobStatus, error) {
-	j, err := s.lookup(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	select {
-	case <-j.doneCh:
-		return s.status(j), nil
-	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
-	}
-}
-
-// JobResult returns a done job's canonical payload. An id that is not
-// retained fails with ErrExpired or ErrUnknownJob.
-func (s *Server) JobResult(id string) ([]byte, error) {
-	j, err := s.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	state, errMsg, _ := j.snapshot()
-	if state != StateDone {
-		if errMsg == "" {
-			errMsg = string(state)
-		}
-		return nil, fmt.Errorf("service: job %s is %s: %s", id, state, errMsg)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result, nil
 }

@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"additivity/internal/core"
 	"additivity/internal/memo"
 )
 
@@ -383,15 +386,16 @@ func TestDrainRefusesAndSettles(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if got, err := srv.WaitJob(ctx, st.ID); err != nil || got.State != StateDone {
-		t.Fatalf("in-flight job after drain = %+v, %v; want done", got, err)
+	code, data := httpAnswer(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID)
+	if got := decodeStatus(t, bytes.NewReader(data)); code != http.StatusOK || got.State != StateDone {
+		t.Fatalf("in-flight job after drain = HTTP %d %+v; want done", code, got)
 	}
 }
 
 // A duplicate of an aborted job must not inherit the abort: the retry
 // path re-leads the job flight and completes.
 func TestDuplicateOfAbortedJobStillCompletes(t *testing.T) {
-	srv, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 
 	const body = `{"kind":"check","params":{"seed":770001,"compounds":120,"reps":5}}`
 	first := submit(t, ts, body)
@@ -408,8 +412,8 @@ func TestDuplicateOfAbortedJobStillCompletes(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	second := submit(t, ts, body)
-	if !srv.Abort(first.ID) {
-		t.Fatal("abort returned false for a live job")
+	if code, data := httpAnswer(t, http.MethodDelete, ts.URL+"/v1/jobs/"+first.ID); code != http.StatusOK {
+		t.Fatalf("abort of a live job = HTTP %d %s, want 200", code, data)
 	}
 	if got := pollUntilTerminal(t, ts, first.ID); got.State != StateAborted {
 		t.Fatalf("first job = %s, want aborted", got.State)
@@ -422,7 +426,7 @@ func TestDuplicateOfAbortedJobStillCompletes(t *testing.T) {
 // Results served from the job-level cache are byte-identical to the
 // fresh computation.
 func TestCachedResultBytesIdentical(t *testing.T) {
-	srv, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 	const body = `{"kind":"check","params":{"seed":330001,"compounds":3,"reps":2}}`
 
 	first := submit(t, ts, body)
@@ -430,15 +434,53 @@ func TestCachedResultBytesIdentical(t *testing.T) {
 	second := submit(t, ts, body)
 	pollUntilTerminal(t, ts, second.ID)
 
-	a, err := srv.JobResult(first.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := srv.JobResult(second.ID)
-	if err != nil {
-		t.Fatal(err)
+	codeA, a := httpAnswer(t, http.MethodGet, ts.URL+"/v1/jobs/"+first.ID+"/result")
+	codeB, b := httpAnswer(t, http.MethodGet, ts.URL+"/v1/jobs/"+second.ID+"/result")
+	if codeA != http.StatusOK || codeB != http.StatusOK {
+		t.Fatalf("results = HTTP %d and %d, want 200", codeA, codeB)
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("cache-served payload differs from fresh payload")
+	}
+}
+
+// TestDegradedFlagPublishedWithDone polls a job's status while finish
+// settles it with a degraded report: no poll may see the done state
+// without the degraded flag, which must be published under the same
+// lock as the state.
+func TestDegradedFlagPublishedWithDone(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the poll overlaps finish only when both run in parallel")
+	}
+	srv := NewServer(Options{})
+	report := &core.CheckReport{DegradedEvents: []string{"UOPS_EXECUTED_CORE"}}
+	var wg sync.WaitGroup
+	clean := 0
+	const jobs = 2000
+	for i := 1; i <= jobs; i++ {
+		j := &job{id: fmt.Sprintf("job-%d", i), seq: uint64(i), kind: KindCheck,
+			cancel: noopCancel, doneCh: make(chan struct{}), state: StateRunning}
+		srv.jobsRunning.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.finish(j, []byte(`{}`), report, nil)
+		}()
+		for {
+			st := srv.status(j)
+			if st.State == StateDone {
+				if !st.Degraded {
+					clean++
+				}
+				break
+			}
+		}
+	}
+	wg.Wait()
+	if clean != 0 {
+		t.Errorf("%d of %d polls saw a degraded job as a clean done", clean, jobs)
+	}
+	if st := srv.Stats(); st.Faults.DegradedJobs != jobs || st.Jobs.Done != jobs || st.Jobs.Running != 0 {
+		t.Errorf("statsz = %+v %+v, want %d degraded done jobs and none running", st.Jobs, st.Faults, jobs)
 	}
 }
